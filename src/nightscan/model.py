@@ -22,6 +22,7 @@ Checkpoint container (little endian):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -250,7 +251,9 @@ def tiled_forward(net: TwoStageNet, packed: Tensor, tile: int, overlap: int = 4)
     """Run oversized inputs tile by tile, averaging overlapped regions.
 
     ``tile`` and ``overlap`` are in packed-grid pixels and must be divisible
-    by the depth alignment.  Plain overlap averaging; no feathering.
+    by the depth alignment.  Plain overlap averaging; no feathering.  The
+    overlaps are summed in float64 and the result comes back in the net's
+    dtype.
     """
     cfg = net.config
     div = 1 << (cfg.depth - 1)
@@ -279,7 +282,7 @@ def tiled_forward(net: TwoStageNet, packed: Tensor, tile: int, overlap: int = 4)
             cov1[:, y0:y1, x0:x1] += 1.0
             acc2[:, y0 * s:y1 * s, x0 * s:x1 * s] += t2.data
             cov2[:, y0 * s:y1 * s, x0 * s:x1 * s] += 1.0
-    return Tensor(acc1 / cov1), Tensor(acc2 / cov2)
+    return Tensor((acc1 / cov1).astype(t1.dtype)), Tensor((acc2 / cov2).astype(t2.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +307,30 @@ def save_checkpoint(path, net: TwoStageNet, config_echo: dict, seed: int):
             fh.write(chunk.tobytes())
 
 
+def _is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _check_manifest(header):
+    """Raise FormatError unless ``header`` has the fields save_checkpoint writes."""
+    if not isinstance(header, dict):
+        raise FormatError("checkpoint header is not a JSON object")
+    if not isinstance(header.get("tensors"), list):
+        raise FormatError("checkpoint manifest has no 'tensors' list")
+    if not isinstance(header.get("config"), dict) or not _is_count(header.get("seed")):
+        raise FormatError("checkpoint header needs a 'config' object and a non-negative 'seed'")
+    for entry in header["tensors"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise FormatError(f"checkpoint manifest entry without a name: {entry!r}")
+        shape = entry.get("shape")
+        if not (isinstance(shape, list) and all(_is_count(s) for s in shape)):
+            raise FormatError(f"checkpoint tensor {entry['name']!r} has no valid shape")
+        if not (_is_count(entry.get("offset")) and _is_count(entry.get("length"))):
+            raise FormatError(f"checkpoint tensor {entry['name']!r} needs non-negative offset and length")
+        if math.prod(shape) != entry["length"]:
+            raise FormatError(f"checkpoint tensor {entry['name']!r}: shape {shape} does not hold {entry['length']} values")
+
+
 def load_checkpoint(path):
     """Parse a checkpoint file; returns (header dict, {name: float32 ndarray})."""
     with open(path, "rb") as fh:
@@ -317,6 +344,7 @@ def load_checkpoint(path):
         header = json.loads(blob[8:8 + header_len].decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
+    _check_manifest(header)
     payload = blob[8 + header_len:]
     values = np.frombuffer(payload, dtype="<f4")
     tensors = {}

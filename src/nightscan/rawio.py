@@ -123,6 +123,8 @@ def read_raw_container(path) -> RawImage:
         ratio = float(header["exposure_ratio"])
     except (KeyError, ValueError, UnicodeDecodeError) as exc:
         raise FormatError(f"malformed header: {exc}") from exc
+    if width <= 0 or height <= 0:
+        raise FormatError(f"header dimensions must be positive, got {width}x{height}")
     plane_bytes = blob[8 + header_len:]
     if len(plane_bytes) != 2 * width * height:
         raise FormatError(

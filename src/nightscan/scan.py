@@ -35,6 +35,10 @@ from .errors import ConfigError
 
 BASES = ("horizontal", "vertical", "diag_tlbr", "diag_trbl")
 
+# Grid shapes whose orders are kept; least recently used are dropped first.
+# A forward of the default network uses three (one per level).
+ORDER_CACHE_SHAPES = 16
+
 
 @dataclass(frozen=True)
 class ScanDirection:
@@ -129,13 +133,13 @@ def build_order(direction: ScanDirection, h: int, w: int) -> ScanOrder:
     return ScanOrder(order=order, inverse=inverse, height=h, width=w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ORDER_CACHE_SHAPES)
 def all_eight(h: int, w: int) -> tuple[ScanOrder, ...]:
     """All eight orders in the fixed DIRECTIONS enumeration, cached per (h, w)."""
     return tuple(build_order(d, h, w) for d in DIRECTIONS)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ORDER_CACHE_SHAPES)
 def stacked_orders(h: int, w: int):
     """(8, L) order and inverse arrays, rows in DIRECTIONS enumeration order."""
     orders = all_eight(h, w)

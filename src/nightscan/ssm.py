@@ -17,6 +17,32 @@ step-invariant the same map is a causal convolution with kernel
 (c bbar, c abar bbar, ..., c abar^(L-1) bbar) plus the d x skip;
 ``lti_kernel_scan`` evaluates that form independently so the two paths can
 be checked against each other.
+
+Layout.  The public shapes are ``G + (L, N)`` (G any leading shape), but
+the kernels work in the L-major layout ``(L,) + G + (N,)``: one step of the
+recurrence is then one contiguous ``G + (N,)`` block.  ``discretize``
+writes ``abar`` and ``bbar`` into L-major buffers and returns ``G + (L, N)``
+views of them; ``selective_scan`` copies an input that is not L-major once.
+One helper, ``_linear_recurrence``, runs h[k] += a[k] h[k-1] in place, two
+ufunc calls per step; the forward pass runs it on bbar x and the backward
+pass runs it reversed on g c, which gives the adjoint state dh (a reversed
+linear recurrence with the same multipliers).  Everything else (bbar x,
+c . h + d x and the gradients of abar, bbar, c and x) is whole-array work
+outside the loop, reduced in L-chunks so no second full-size product
+array is alive.
+
+Every value and gradient is computed with the same per-element operations
+in the same order as the plain step-by-step recurrence, so results do not
+depend on the layout; returned gradients keep the memory layout of the
+plain recurrence (``G + (L, N)`` C order, ``c_seq``'s own layout for its
+gradient), because the sums downstream of them add in memory order.
+
+Memory.  Under ``no_grad`` the step products are formed in place: ``u =
+delta a`` becomes ``abar`` and the ZOH factor becomes ``bbar``, and the
+scan's state buffer is freed on return, so a discretize + scan pair holds
+three full ``(L,) + G + (N,)`` arrays at its peak.  With gradients,
+``discretize`` keeps u and the ZOH factor besides its outputs, and
+``selective_scan`` keeps every state for the backward pass.
 """
 
 from __future__ import annotations
@@ -24,30 +50,68 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, _accumulate, _add_macs, _record, _unbroadcast
+from .tensor import Tensor, _accumulate, _add_macs, _needs_grad, _record, _unbroadcast
 
 # Below this |delta * a| the (exp(u) - 1) / u factor switches to its Taylor
 # series to avoid the removable singularity at u = 0.
 ZOH_TAYLOR_THRESHOLD = 1e-4
 
+# Elements per block of the whole-array passes that reduce over N or scan
+# for small |u|: bounds their temporaries to a few MB.
+_CHUNK_ELEMS = 1 << 18
+
+
+def _lmajor(arr):
+    """The ``(L,) + G + (N,)`` view of a ``G + (L, N)`` array (below 2-D: itself)."""
+    return np.moveaxis(arr, -2, 0) if arr.ndim >= 2 else arr
+
+
+def _from_lmajor(arr):
+    """Inverse of ``_lmajor``."""
+    return np.moveaxis(arr, 0, -2) if arr.ndim >= 2 else arr
+
+
+def _l_chunks(h):
+    """Slices of axis 0 of ``h`` holding about ``_CHUNK_ELEMS`` elements each."""
+    step = max(1, _CHUNK_ELEMS // max(1, h[0:1].size))
+    return [slice(i, i + step) for i in range(0, len(h), step)]
+
+
+def _with_series(out, u, series):
+    """Overwrite ``out`` by ``series(u)`` where |u| < ZOH_TAYLOR_THRESHOLD.
+
+    Both arrays are contiguous; the small entries are found chunk by chunk
+    and the series runs on those entries only.
+    """
+    flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+    for i in range(0, flat_u.size, _CHUNK_ELEMS):
+        idx = np.flatnonzero(np.abs(flat_u[i:i + _CHUNK_ELEMS]) < ZOH_TAYLOR_THRESHOLD) + i
+        if idx.size:
+            flat_out[idx] = series(flat_u[idx])
+    return out
+
 
 def _phi(u):
-    small = np.abs(u) < ZOH_TAYLOR_THRESHOLD
-    u_safe = np.where(small, 1.0, u)
-    return np.where(small, 1.0 + u / 2.0 + (u * u) / 6.0, np.expm1(u_safe) / u_safe)
+    """(exp(u) - 1) / u, with its Taylor series near u = 0."""
+    out = np.empty_like(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.expm1(u, out=out)
+        np.divide(out, u, out=out)
+    return _with_series(out, u, lambda v: 1.0 + v / 2.0 + (v * v) / 6.0)
 
 
-def _phi_prime(u):
-    small = np.abs(u) < ZOH_TAYLOR_THRESHOLD
-    u_safe = np.where(small, 1.0, u)
-    exact = (u_safe * np.exp(u_safe) - np.expm1(u_safe)) / (u_safe * u_safe)
-    return np.where(small, 0.5 + u / 3.0 + (u * u) / 8.0, exact)
+def _phi_prime(u, exp_u):
+    """d/du of ``_phi``; ``exp_u`` is exp(u)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray((u * exp_u - np.expm1(u)) / (u * u))
+    return _with_series(out, u, lambda v: 0.5 + v / 3.0 + (v * v) / 8.0)
 
 
 def discretize(a, b, delta):
     """Zero-order-hold discretization; inputs broadcast elementwise.
 
-    Returns (abar, bbar).  Requires delta > 0 everywhere.
+    Returns (abar, bbar), views of L-major buffers (see the module notes).
+    Requires delta > 0 everywhere.
     """
     if not isinstance(a, Tensor):
         a = Tensor(a)
@@ -59,10 +123,18 @@ def discretize(a, b, delta):
         raise ContractError("discretize requires delta > 0")
 
     ad, bd, dd = a.data, b.data, delta.data
-    u = dd * ad
-    abar_data = np.exp(u)
+    shape = np.broadcast_shapes(ad.shape, bd.shape, dd.shape)
+    a_l, b_l, d_l = (_lmajor(np.broadcast_to(v, shape)) for v in (ad, bd, dd))
+    u = np.empty(a_l.shape, dtype=np.result_type(dd, ad))
+    np.multiply(d_l, a_l, out=u)
     phi = _phi(u)
-    bbar_data = phi * dd * bd
+    keep = _needs_grad((a, b, delta))
+    bbar_dtype = np.result_type(phi, bd)
+    abar_buf = np.exp(u, out=np.empty_like(u) if keep else u)
+    bbar_buf = phi if not keep and phi.dtype == bbar_dtype else np.empty(u.shape, dtype=bbar_dtype)
+    np.multiply(phi, d_l, out=bbar_buf)
+    np.multiply(bbar_buf, b_l, out=bbar_buf)
+    abar_data, bbar_data = _from_lmajor(abar_buf), _from_lmajor(bbar_buf)
 
     def bwd_abar(g):
         gu = g * abar_data
@@ -70,15 +142,34 @@ def discretize(a, b, delta):
         _accumulate(delta, _unbroadcast(gu * ad, dd.shape))
 
     def bwd_bbar(g):
-        _accumulate(b, _unbroadcast(g * phi * dd, bd.shape))
+        phi_v = _from_lmajor(phi)
+        _accumulate(b, _unbroadcast(g * phi_v * dd, bd.shape))
         gphi = g * dd * bd
-        gu = gphi * _phi_prime(u)
+        gu = gphi * _from_lmajor(_phi_prime(u, abar_buf))
         _accumulate(a, _unbroadcast(gu * dd, ad.shape))
-        _accumulate(delta, _unbroadcast(g * phi * bd + gu * ad, dd.shape))
+        _accumulate(delta, _unbroadcast(g * phi_v * bd + gu * ad, dd.shape))
 
     abar = _record(abar_data, (a, delta), bwd_abar, "discretize.abar")
     bbar = _record(bbar_data, (a, b, delta), bwd_bbar, "discretize.bbar")
     return abar, bbar
+
+
+def _linear_recurrence(a, h, reverse=False):
+    """Run h[k] += a[k] h[k-1] in place along axis 0, for k = 1 .. L-1.
+
+    With ``reverse`` it runs from the end instead, h[k] += a[k+1] h[k+1]
+    for k = L-2 .. 0: the adjoint of the forward recurrence.  ``a`` and
+    ``h`` are L-major and C-contiguous, so each step is two ufunc calls on
+    contiguous blocks.
+    """
+    if len(h) < 2:
+        return
+    tmp = np.empty_like(h[0])
+    hs = list(h[::-1]) if reverse else list(h)
+    ms = list(a[::-1]) if reverse else list(a[1:])
+    for prev, cur, m in zip(hs, hs[1:], ms):
+        np.multiply(m, prev, out=tmp)
+        np.add(cur, tmp, out=cur)
 
 
 def selective_scan(x, abar, bbar, c_seq, d_skip):
@@ -109,30 +200,39 @@ def selective_scan(x, abar, bbar, c_seq, d_skip):
     xd = x.data
     ad, bd, cd = abar.data, bbar.data, c_seq.data
     dd = np.broadcast_to(np.asarray(d_skip.data), lead)
+    x_l = np.moveaxis(xd, -1, 0)
+    a_l = np.ascontiguousarray(_lmajor(ad))
+    b_l, c_l = _lmajor(bd), _lmajor(cd)
 
-    h_all = np.empty(want, dtype=xd.dtype)
+    # every state h[k], L-major; it starts as bbar x and the recurrence
+    # adds the carried part
+    h = np.empty(a_l.shape, dtype=np.result_type(xd, ad, bd))
+    np.multiply(b_l, x_l[..., None], out=h)
+    _linear_recurrence(a_l, h)
     y = np.empty_like(xd)
-    h = np.zeros(lead + (n,), dtype=xd.dtype)
-    for k in range(L):
-        h = ad[..., k, :] * h + bd[..., k, :] * xd[..., k, None]
-        h_all[..., k, :] = h
-        y[..., k] = (h * cd[..., k, :]).sum(axis=-1) + dd * xd[..., k]
+    y_l = np.moveaxis(y, -1, 0)
+    for s in _l_chunks(h):
+        np.add((h[s] * c_l[s]).sum(axis=-1), dd * x_l[s], out=y_l[s])
     _add_macs(int(np.prod(lead, dtype=np.int64)) * L * (3 * n + 1))
 
     def bwd(g):
+        g_l = np.moveaxis(g, -1, 0)
+        dh = np.empty_like(h)
+        np.multiply(g_l[..., None], c_l, out=dh)
+        _linear_recurrence(a_l, dh, reverse=True)
+        ga = np.empty(want, dtype=ad.dtype)
+        ga_l = _lmajor(ga)
+        np.multiply(dh[:1], 0.0, out=ga_l[:1])  # h[-1] = 0
+        np.multiply(dh[1:], h[:-1], out=ga_l[1:])
+        gb = np.empty(want, dtype=bd.dtype)
+        np.multiply(dh, x_l[..., None], out=_lmajor(gb))
         gx = np.empty_like(xd)
-        ga = np.empty_like(ad)
-        gb = np.empty_like(bd)
+        gx_l = np.moveaxis(gx, -1, 0)
         gc = np.zeros_like(cd)
-        dh = np.zeros(lead + (n,), dtype=xd.dtype)
-        for k in range(L - 1, -1, -1):
-            dh = dh + g[..., k, None] * cd[..., k, :]
-            gc[..., k, :] += _unbroadcast(g[..., k, None] * h_all[..., k, :], cd[..., k, :].shape)
-            h_prev = h_all[..., k - 1, :] if k > 0 else 0.0
-            ga[..., k, :] = dh * h_prev
-            gb[..., k, :] = dh * xd[..., k, None]
-            gx[..., k] = (dh * bd[..., k, :]).sum(axis=-1) + g[..., k] * dd
-            dh = dh * ad[..., k, :]
+        gc_l = _lmajor(gc)
+        for s in _l_chunks(h):
+            np.add((dh[s] * b_l[s]).sum(axis=-1), g_l[s] * dd, out=gx_l[s])
+            gc_l[s] += _unbroadcast(g_l[s][..., None] * h[s], gc_l[s].shape)
         _accumulate(x, gx)
         _accumulate(abar, ga)
         _accumulate(bbar, gb)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -114,10 +115,15 @@ def _check_finite(arr, op):
         raise NumericError(f"non-finite value produced by {op}")
 
 
+def _needs_grad(parents):
+    """Whether an op on ``parents`` records a tape entry (``_record`` decides the same way)."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _record(data, parents, backward_fn, op):
     """Create the output tensor of a primitive and record its tape entry."""
     _check_finite(data, op)
-    req = _grad_enabled and any(p.requires_grad for p in parents)
+    req = _needs_grad(parents)
     out = Tensor(data, requires_grad=req)
     if req:
         out._parents = tuple(parents)
@@ -531,7 +537,10 @@ def layer_norm(a, gamma, beta, eps=LAYER_NORM_EPS):
 # convolution
 
 
-_COL2IM_CACHE = {}
+# Conv geometries whose col2im scatter indices are kept; least recently
+# used are dropped first.  One training step of the default network at one
+# input size uses 17, inference 2.
+COL2IM_CACHE_ENTRIES = 64
 
 
 def _im2col(arr, k, stride, pad):
@@ -545,11 +554,8 @@ def _im2col(arr, k, stride, pad):
     return np.ascontiguousarray(cols), ho, wo
 
 
+@lru_cache(maxsize=COL2IM_CACHE_ENTRIES)
 def _col2im_indices(c, h, w, k, stride, pad):
-    key = (c, h, w, k, stride, pad)
-    cached = _COL2IM_CACHE.get(key)
-    if cached is not None:
-        return cached
     hp, wp = h + 2 * pad, w + 2 * pad
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
@@ -559,9 +565,7 @@ def _col2im_indices(c, h, w, k, stride, pad):
     oi = np.arange(ho)[None, None, None, :, None]
     oj = np.arange(wo)[None, None, None, None, :]
     flat = ci * (hp * wp) + (oi * stride + ki) * wp + (oj * stride + kj)
-    out = (flat.ravel(), hp, wp, ho, wo)
-    _COL2IM_CACHE[key] = out
-    return out
+    return flat.ravel(), hp, wp, ho, wo
 
 
 def _col2im(cols, shape, k, stride, pad):

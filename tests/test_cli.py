@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -133,6 +134,17 @@ def test_inspect_ckpt_summarizes_manifest(pipeline_dirs, capsys):
     assert body["seed"] == 3
     assert body["param_count"] > 0
     assert body["config"]["network"]["base_width"] == 8
+
+
+def test_inspect_ckpt_without_tensors_is_one_json_error(capsys, tmp_path):
+    header = json.dumps({"config": {}, "seed": 0}).encode("utf-8")
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"CKPT" + struct.pack("<I", len(header)) + header)
+    code, _, err = run(capsys, "inspect-ckpt", "--ckpt", str(path))
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "FormatError"
 
 
 def test_gen_data_announce_and_baseline(capsys, tmp_path):

@@ -1,6 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from nightscan import scan
 from nightscan import tensor as T
 from nightscan.blocks import Conv2d, count_params
 from nightscan.errors import ConfigError, FormatError
@@ -183,6 +187,36 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("tensors"),
+            lambda h: h.update(tensors={"a": 1}),
+            lambda h: h.pop("seed"),
+            lambda h: h["tensors"][0].pop("name"),
+            lambda h: h["tensors"][0].pop("shape"),
+            lambda h: h["tensors"][0].pop("offset"),
+            lambda h: h["tensors"][1].update(length=True),
+            lambda h: h["tensors"][1].update(offset=-1),
+            lambda h: h["tensors"][2].update(shape=[2, "x"]),
+            lambda h: h["tensors"][2].update(length=h["tensors"][2]["length"] + 1),
+        ],
+        ids=["no-tensors", "tensors-not-list", "no-seed", "no-name", "no-shape", "no-offset",
+             "bool-length", "negative-offset", "bad-shape", "shape-length-mismatch"],
+    )
+    def test_bad_manifest_rejected(self, tmp_path, edit):
+        cfg = NetworkConfig(base_width=8, depth=2, state_dim=4)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, TwoStageNet(cfg, seed=1), {"network": cfg.__dict__.copy()}, 1)
+        blob = path.read_bytes()
+        n = struct.unpack("<I", blob[4:8])[0]
+        header = json.loads(blob[8:8 + n])
+        edit(header)
+        raw = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:4] + struct.pack("<I", len(raw)) + raw + blob[8 + n:])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
     def test_truncated_blob_rejected(self, tmp_path):
         cfg = NetworkConfig(base_width=8, depth=2, state_dim=4)
         net = TwoStageNet(cfg, seed=1, dtype=np.float32)
@@ -205,6 +239,14 @@ class TestTiledForward:
         np.testing.assert_array_equal(o1d.data, o1t.data)
         np.testing.assert_array_equal(o2d.data, o2t.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tiled_output_keeps_net_dtype(self, rng, dtype):
+        net = TwoStageNet(NetworkConfig(base_width=8, depth=2, state_dim=4), seed=0, dtype=dtype)
+        x = Tensor(rng.uniform(0, 1, (4, 24, 24)).astype(dtype))
+        with no_grad():
+            outs = net(x) + tiled_forward(net, x, tile=16)
+        assert [o.dtype for o in outs] == [np.dtype(dtype)] * 4
+
     def test_tiling_large_input_runs_and_covers(self, rng):
         cfg = NetworkConfig(base_width=8, depth=2, state_dim=4)
         net = TwoStageNet(cfg, seed=0, dtype=np.float64)
@@ -214,3 +256,22 @@ class TestTiledForward:
         assert o1.shape == (4, 24, 24)
         assert o2.shape == (3, 48, 48)
         assert np.isfinite(o1.data).all() and np.isfinite(o2.data).all()
+
+
+def test_shape_caches_stay_bounded():
+    caches = [
+        (scan.all_eight, scan.ORDER_CACHE_SHAPES),
+        (scan.stacked_orders, scan.ORDER_CACHE_SHAPES),
+        (T._col2im_indices, T.COL2IM_CACHE_ENTRIES),
+    ]
+    for fn, _ in caches:
+        fn.cache_clear()
+    net = TwoStageNet(NetworkConfig(base_width=4, depth=2, state_dim=2, scan_directions=1), seed=0)
+    for side in range(4, 44, 2):  # 20 packed sizes
+        o1, o2 = net(Tensor(np.full((4, side, side), 0.1, dtype=np.float32)))
+        backward(T.add(T.mean(o1), T.mean(o2)))
+    for fn, bound in caches:
+        info = fn.cache_info()
+        assert info.maxsize == bound
+        assert info.misses > bound, "the loop should have overflowed the cache"
+        assert info.currsize <= bound

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,16 @@ class TestContainer:
         write_raw_container(raw, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])  # drop 8 of 16 u16 values
+        with pytest.raises(FormatError):
+            read_raw_container(path)
+
+    @pytest.mark.parametrize("side", [-2, 0])
+    def test_nonpositive_dimensions_rejected(self, tmp_path, side):
+        header = json.dumps(
+            {"width": side, "height": side, "cfa": "RGGB", "black_level": 0, "white_level": 10, "exposure_ratio": 1.0}
+        ).encode("utf-8")
+        path = tmp_path / "neg.rraw"
+        path.write_bytes(b"RRAW" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
         with pytest.raises(FormatError):
             read_raw_container(path)
 

@@ -1,0 +1,237 @@
+"""The L-major scan kernels against the plain step-by-step recurrence.
+
+``reference_discretize`` and ``reference_selective_scan`` are the
+straightforward forms of ZOH discretization and the selective scan: full
+``np.where`` branches for the ZOH factor, and one Python step per sequence
+element that updates the state, the output and, in the backward pass,
+every gradient.  ``nightscan.ssm`` computes the same per-element
+arithmetic in the same order, so values and gradients must be equal, not
+merely close.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from nightscan import blocks, ssm
+from nightscan import tensor as T
+from nightscan.blocks import DirectionalScan2d
+from nightscan.model import NetworkConfig, TwoStageNet
+from nightscan.tensor import Tensor, _accumulate, _add_macs, _record, _unbroadcast, backward, no_grad
+
+
+def _ref_phi(u):
+    small = np.abs(u) < ssm.ZOH_TAYLOR_THRESHOLD
+    u_safe = np.where(small, 1.0, u)
+    return np.where(small, 1.0 + u / 2.0 + (u * u) / 6.0, np.expm1(u_safe) / u_safe)
+
+
+def _ref_phi_prime(u):
+    small = np.abs(u) < ssm.ZOH_TAYLOR_THRESHOLD
+    u_safe = np.where(small, 1.0, u)
+    exact = (u_safe * np.exp(u_safe) - np.expm1(u_safe)) / (u_safe * u_safe)
+    return np.where(small, 0.5 + u / 3.0 + (u * u) / 8.0, exact)
+
+
+def reference_discretize(a, b, delta):
+    ad, bd, dd = a.data, b.data, delta.data
+    u = dd * ad
+    abar_data = np.exp(u)
+    phi = _ref_phi(u)
+    bbar_data = phi * dd * bd
+
+    def bwd_abar(g):
+        gu = g * abar_data
+        _accumulate(a, _unbroadcast(gu * dd, ad.shape))
+        _accumulate(delta, _unbroadcast(gu * ad, dd.shape))
+
+    def bwd_bbar(g):
+        _accumulate(b, _unbroadcast(g * phi * dd, bd.shape))
+        gphi = g * dd * bd
+        gu = gphi * _ref_phi_prime(u)
+        _accumulate(a, _unbroadcast(gu * dd, ad.shape))
+        _accumulate(delta, _unbroadcast(g * phi * bd + gu * ad, dd.shape))
+
+    abar = _record(abar_data, (a, delta), bwd_abar, "discretize.abar")
+    bbar = _record(bbar_data, (a, b, delta), bwd_bbar, "discretize.bbar")
+    return abar, bbar
+
+
+def reference_selective_scan(x, abar, bbar, c_seq, d_skip):
+    lead = x.data.shape[:-1]
+    L = x.data.shape[-1]
+    n = abar.data.shape[-1]
+    xd = x.data
+    ad, bd, cd = abar.data, bbar.data, c_seq.data
+    dd = np.broadcast_to(np.asarray(d_skip.data), lead)
+
+    h_all = np.empty(lead + (L, n), dtype=xd.dtype)
+    y = np.empty_like(xd)
+    h = np.zeros(lead + (n,), dtype=xd.dtype)
+    for k in range(L):
+        h = ad[..., k, :] * h + bd[..., k, :] * xd[..., k, None]
+        h_all[..., k, :] = h
+        y[..., k] = (h * cd[..., k, :]).sum(axis=-1) + dd * xd[..., k]
+    _add_macs(int(np.prod(lead, dtype=np.int64)) * L * (3 * n + 1))
+
+    def bwd(g):
+        gx = np.empty_like(xd)
+        ga = np.empty_like(ad)
+        gb = np.empty_like(bd)
+        gc = np.zeros_like(cd)
+        dh = np.zeros(lead + (n,), dtype=xd.dtype)
+        for k in range(L - 1, -1, -1):
+            dh = dh + g[..., k, None] * cd[..., k, :]
+            gc[..., k, :] += _unbroadcast(g[..., k, None] * h_all[..., k, :], cd[..., k, :].shape)
+            h_prev = h_all[..., k - 1, :] if k > 0 else 0.0
+            ga[..., k, :] = dh * h_prev
+            gb[..., k, :] = dh * xd[..., k, None]
+            gx[..., k] = (dh * bd[..., k, :]).sum(axis=-1) + g[..., k] * dd
+            dh = dh * ad[..., k, :]
+        _accumulate(x, gx)
+        _accumulate(abar, ga)
+        _accumulate(bbar, gb)
+        _accumulate(c_seq, gc)
+        _accumulate(d_skip, _unbroadcast((g * xd).sum(axis=-1), d_skip.data.shape))
+
+    return _record(y, (x, abar, bbar, c_seq, d_skip), bwd, "selective_scan")
+
+
+def _leaf(arr, dtype):
+    return Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
+
+
+def _case(seed, lead, L, n, dtype, c_broadcast, small_u):
+    """Inputs of one discretize + scan pair, shaped as DirectionalScan2d makes them."""
+    rng = np.random.default_rng(seed)
+    a = -np.exp(rng.standard_normal(lead + (1, n)))
+    delta = np.exp(rng.uniform(np.log(1e-3), np.log(0.5), lead + (L, 1)))
+    if small_u:
+        # a quarter of the steps land below the Taylor threshold
+        delta[..., ::4, :] = rng.uniform(1e-7, 5e-5, delta[..., ::4, :].shape)
+    b = rng.standard_normal(lead[:-1] + (1, L, n))
+    c_lead = lead[:-1] + (1,) if c_broadcast else lead
+    c = rng.standard_normal(c_lead + (L, n))
+    x = rng.standard_normal(lead + (L,))
+    d = rng.standard_normal(lead)
+    w = rng.standard_normal(lead + (L,))
+    return [a, b, delta, x, c, d, w], dtype
+
+
+CASES = [
+    # seed, G, L, N, dtype, c_seq broadcast over C, some |u| below the threshold
+    (0, (3,), 7, 4, np.float64, False, False),
+    (1, (2, 3), 9, 5, np.float32, True, False),
+    (2, (2, 3), 6, 1, np.float64, True, True),
+    (3, (4,), 1, 3, np.float32, False, True),
+    (4, (3, 5), 33, 8, np.float32, True, True),
+    (5, (2, 2), 5, 2, np.float64, False, False),
+]
+
+
+def _run_pair(disc, scan, arrays, dtype, l_major_inputs):
+    """abar, bbar, y and the gradients of the leaves of one pair under a weighted-sum loss."""
+    a, b, delta, x, c, d, w = (_leaf(v, dtype) for v in arrays)
+    abar, bbar = disc(a, b, delta)
+    leaves = [a, b, delta]
+    if not l_major_inputs:
+        # C-contiguous leaves, as callers outside the network pass them
+        abar, bbar = (_leaf(np.ascontiguousarray(t.data), dtype) for t in (abar, bbar))
+        leaves = [abar, bbar]
+    y = scan(x, abar, bbar, c, d)
+    backward(T.sum_all(T.mul(y, w)))
+    return abar.data, bbar.data, y.data, [t.grad for t in leaves + [x, c, d]]
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"G{c[1]}-L{c[2]}-N{c[3]}-{np.dtype(c[4]).name}")
+@pytest.mark.parametrize("l_major_inputs", [True, False], ids=["lmajor", "contiguous"])
+def test_kernels_bit_equal_to_reference(case, l_major_inputs):
+    arrays, dtype = _case(*case)
+    got = _run_pair(ssm.discretize, ssm.selective_scan, arrays, dtype, l_major_inputs)
+    ref = _run_pair(reference_discretize, reference_selective_scan, arrays, dtype, l_major_inputs)
+    for name, g, r in zip(("abar", "bbar", "y"), got[:3], ref[:3]):
+        assert g.dtype == r.dtype and g.shape == r.shape, name
+        np.testing.assert_array_equal(g, r, err_msg=name)
+    for i, (g, r) in enumerate(zip(got[3], ref[3])):
+        assert g is not None and g.dtype == r.dtype and g.shape == r.shape, i
+        np.testing.assert_array_equal(g, r, err_msg=f"gradient {i}")
+
+
+def test_small_u_cases_reach_the_series():
+    arrays, _ = _case(*CASES[2])
+    a, delta = arrays[0], arrays[2]
+    assert (np.abs(a * delta) < ssm.ZOH_TAYLOR_THRESHOLD).any()
+
+
+def test_discretize_returns_views_of_l_major_buffers():
+    arrays, dtype = _case(*CASES[4])
+    with no_grad():
+        abar, bbar = ssm.discretize(*(Tensor(v, dtype=dtype) for v in arrays[:3]))
+    for t in (abar, bbar):
+        assert np.moveaxis(t.data, -2, 0).flags.c_contiguous
+
+
+def test_linear_recurrence_both_directions():
+    rng = np.random.default_rng(7)
+    a = rng.uniform(0.1, 0.9, (6, 2, 3))
+    h0 = rng.standard_normal((6, 2, 3))
+    fwd, rev = h0.copy(), h0.copy()
+    ssm._linear_recurrence(a, fwd)
+    ssm._linear_recurrence(a, rev, reverse=True)
+    want_f, want_r = h0.copy(), h0.copy()
+    for k in range(1, 6):
+        want_f[k] = want_f[k] + a[k] * want_f[k - 1]
+    for k in range(4, -1, -1):
+        want_r[k] = want_r[k] + a[k + 1] * want_r[k + 1]
+    np.testing.assert_array_equal(fwd, want_f)
+    np.testing.assert_array_equal(rev, want_r)
+
+
+def _mean_sq_err(y, target):
+    diff = T.sub(y, Tensor(target))
+    return T.mean(T.mul(diff, diff))
+
+
+def test_network_bit_equal_to_reference(monkeypatch):
+    net = TwoStageNet(NetworkConfig(base_width=8, depth=2), seed=5)
+    x = np.random.default_rng(3).uniform(0.0, 0.2, (4, 12, 12)).astype(np.float32)
+
+    def run():
+        with no_grad():
+            outs = [o.data for o in net(Tensor(x))]
+        rng = np.random.default_rng(4)
+        targets = [rng.uniform(0.0, 1.0, o.shape).astype(np.float32) for o in outs]
+        o1, o2 = net(Tensor(x))
+        net.zero_grad()
+        backward(T.add(_mean_sq_err(o1, targets[0]), _mean_sq_err(o2, targets[1])))
+        return outs, {name: p.grad.copy() for name, p in net.named_params()}
+
+    fast = run()
+    monkeypatch.setattr(blocks, "discretize", reference_discretize)
+    monkeypatch.setattr(blocks, "selective_scan", reference_selective_scan)
+    ref = run()
+
+    for got, want in zip(fast[0], ref[0]):
+        np.testing.assert_array_equal(got, want)
+    assert list(fast[1]) == list(ref[1])
+    for name, g in ref[1].items():
+        np.testing.assert_array_equal(fast[1][name], g, err_msg=name)
+
+
+def test_no_grad_scan_block_peak_memory():
+    # level 0 of the default network on a 256x256 RGGB frame (packed 128x128)
+    channels, n, side = 8, 8, 128
+    rng = np.random.default_rng(0)
+    mixer = DirectionalScan2d(channels, n, tuple(range(8)), rng=rng, dtype=np.float32)
+    x = Tensor(rng.standard_normal((channels, side, side)).astype(np.float32))
+    with no_grad():
+        mixer(x)  # fills the order cache outside the measurement
+        tracemalloc.start()
+        try:
+            mixer(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    full = 8 * channels * side * side * n * 4
+    assert peak <= 4 * full, f"peak {peak / full:.2f} full (K, C, L, N) arrays"
