@@ -71,7 +71,3 @@ def run_ablation(axis, seed=7, out_dir=None):
         os.makedirs(out_dir, exist_ok=True)
         write_metrics_csv(os.path.join(out_dir, f"ablation_{axis}.csv"), rows)
     return rows
-
-
-def run_all(seed=7, out_dir=None):
-    return {axis: run_ablation(axis, seed=seed, out_dir=out_dir) for axis in AXES}

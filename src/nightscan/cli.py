@@ -11,19 +11,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .ablate import AXES, run_ablation
 from .data import gen_synthetic, load_dataset, write_dataset
-from .errors import NightscanError, NumericError
+from .errors import ConfigError, NightscanError, NumericError
 from .gradcheck import run_gradcheck
-from .model import config_from_dict, load_checkpoint, network_from_checkpoint, tiled_forward
+from .model import NetworkConfig, dataclass_from_dict, load_checkpoint, network_from_checkpoint, tiled_forward
 from .rawio import RawImage, pack, read_raw_container, unpack_mosaic, write_ppm, write_raw_container
 from .scan import ScanDirection, build_order
 from .tensor import Tensor, no_grad
-from .train import LossConfig, TrainConfig, dataclass_from_dict, evaluate, train, write_metrics_csv
+from .train import LossConfig, TrainConfig, evaluate, train, write_metrics_csv
 
 DIRECTION_NAMES = {
     "horizontal": "horizontal",
@@ -46,11 +46,12 @@ def _load_config_file(path):
 
 def _resolve_configs(args):
     raw = _load_config_file(getattr(args, "config", None))
-    net_cfg = config_from_dict(raw.get("network", {}))
-    train_over = dict(raw.get("train", {}))
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file must hold a JSON object, got {type(raw).__name__}")
+    net_cfg = dataclass_from_dict(NetworkConfig, raw.get("network", {}), "network")
+    train_cfg = dataclass_from_dict(TrainConfig, raw.get("train", {}), "train")
     if getattr(args, "seed", None) is not None:
-        train_over["seed"] = args.seed
-    train_cfg = dataclass_from_dict(TrainConfig, train_over, "train")
+        train_cfg = replace(train_cfg, seed=args.seed)
     loss_cfg = dataclass_from_dict(LossConfig, raw.get("loss", {}), "loss")
     return net_cfg, train_cfg, loss_cfg
 

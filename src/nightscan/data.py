@@ -239,25 +239,30 @@ def load_dataset(data_dir) -> SyntheticDataset:
         raise FormatError(f"no dataset index at {index_path}")
     except ValueError as exc:
         raise FormatError(f"malformed dataset index: {exc}") from exc
-    cfa = index["cfa"]
+    try:
+        cfa = index["cfa"]
+        files = [(os.path.join(data_dir, e["raw"]), os.path.join(data_dir, e["gt"])) for e in index["samples"]]
+        meta = dict(
+            size=int(index["size"]),
+            seed=int(index["seed"]),
+            ratio=float(index["ratio"]),
+            sigma_read=float(index["sigma_read"]),
+            shot_scale=float(index["shot_scale"]),
+            black_level=int(index["black_level"]),
+            white_level=int(index["white_level"]),
+            baseline_psnr=float(index["baseline_psnr"]),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed dataset index {index_path}: {exc!r}") from exc
+    if not isinstance(cfa, str) or cfa not in CFA_BLOCK:
+        raise FormatError(f"dataset index {index_path} names unknown CFA {cfa!r}")
     samples = []
-    for entry in index["samples"]:
-        raw = read_raw_container(os.path.join(data_dir, entry["raw"]))
-        clean_rgb = read_ppm(os.path.join(data_dir, entry["gt"]))
+    for raw_path, gt_path in files:
+        raw = read_raw_container(raw_path)
+        clean_rgb = read_ppm(gt_path)
         clean_packed = pack_mosaic(mosaic_from_rgb(clean_rgb, cfa), cfa)
         samples.append(SyntheticSample(clean_rgb=clean_rgb, clean_packed=clean_packed, raw=raw))
-    return SyntheticDataset(
-        samples=samples,
-        cfa=cfa,
-        size=int(index["size"]),
-        seed=int(index["seed"]),
-        ratio=float(index["ratio"]),
-        sigma_read=float(index["sigma_read"]),
-        shot_scale=float(index["shot_scale"]),
-        black_level=int(index["black_level"]),
-        white_level=int(index["white_level"]),
-        baseline_psnr=float(index["baseline_psnr"]),
-    )
+    return SyntheticDataset(samples=samples, cfa=cfa, **meta)
 
 
 def flip_arrays(packed_in, clean_packed, clean_rgb, cfa, flip_h, flip_v):

@@ -87,7 +87,6 @@ def primitive_cases():
         case("scale", unary(lambda x: T.scale(x, 2.5))),
         case("exp", unary(T.exp)),
         case("absolute", unary(T.absolute, min_abs=0.05)),
-        case("relu", unary(T.relu, min_abs=0.05)),
         case("sigmoid", unary(T.sigmoid)),
         case("silu", unary(T.silu)),
         case("gelu", unary(T.gelu)),
@@ -98,7 +97,6 @@ def primitive_cases():
         case("global_avg_pool", unary(T.global_avg_pool, shape=(4, 3, 3))),
         case("reshape", unary(lambda x: T.reshape(x, (4, 3)))),
         case("transpose", unary(lambda x: T.transpose(x, (1, 0)))),
-        case("strided_downsample", unary(lambda x: T.strided_downsample(x, 2), shape=(2, 4, 4))),
         case("pixel_shuffle", unary(lambda x: T.pixel_shuffle(x, 2), shape=(8, 2, 2))),
         case("narrow_channels", unary(lambda x: T.narrow_channels(x, 1, 2), shape=(4, 3))),
     ]
@@ -106,10 +104,6 @@ def primitive_cases():
     def concat_case(rng):
         a, b = _leaf(rng, (2, 3, 3)), _leaf(rng, (3, 3, 3))
         return (lambda: _mean_sq(T.concat_channels([a, b]))), {"a": a, "b": b}
-
-    def sum_list_case(rng):
-        ts = [_leaf(rng, (2, 3)) for _ in range(5)]
-        return (lambda: _mean_sq(T.sum_list(ts))), {f"t{i}": t for i, t in enumerate(ts)}
 
     def scale_by_channel_case(rng):
         x, s = _leaf(rng, (3, 2, 2)), _leaf(rng, (3,))
@@ -138,20 +132,6 @@ def primitive_cases():
         w = _leaf(rng, (3, 2, 2, 2))
         b = _leaf(rng, (2,))
         return (lambda: _mean_sq(T.conv_transpose2d(x, w, b, stride=2, padding=0))), {"x": x, "w": w, "b": b}
-
-    def gather_case(rng):
-        from .scan import build_order, ScanDirection
-
-        order = build_order(ScanDirection("diag_tlbr"), 3, 3)
-        x = _leaf(rng, (2, 9))
-        return (lambda: _mean_sq(T.gather_permute(x, order.order, order.inverse))), {"x": x}
-
-    def scatter_case(rng):
-        from .scan import build_order, ScanDirection
-
-        order = build_order(ScanDirection("vertical", reversed=True), 3, 3)
-        x = _leaf(rng, (2, 9))
-        return (lambda: _mean_sq(T.scatter_inverse(x, order.order, order.inverse))), {"x": x}
 
     def multi_gather_case(rng):
         from .scan import stacked_orders
@@ -192,15 +172,12 @@ def primitive_cases():
 
     cases += [
         case("concat_channels", concat_case),
-        case("sum_list", sum_list_case),
         case("scale_by_channel", scale_by_channel_case),
         case("matmul", matmul_case),
         case("layer_norm", layer_norm_case),
         case("conv2d_s1", conv_case(1)),
         case("conv2d_s2", conv_case(2)),
         case("conv_transpose2d", conv_transpose_case),
-        case("gather_permute", gather_case),
-        case("scatter_inverse", scatter_case),
         case("multi_gather", multi_gather_case),
         case("multi_scatter", multi_scatter_case),
         case("discretize", discretize_case),

@@ -9,21 +9,15 @@ fused into each encoder level of both stages (or each decoder level when
 configured); stage-1 encoder features are additionally fused into the
 stage-2 encoder at every level.
 
-Checkpoint container (little endian):
-
-    bytes 0..3   magic "CKPT"
-    bytes 4..7   u32 header length
-    header       UTF-8 JSON {"tensors": [{name, shape, offset, length}...],
-                 "config": {...}, "seed": int}; offset/length in float32
-                 elements
-    blob         all parameters as float32, concatenated in manifest order
+Checkpoints use the container framing of ``rawio`` with magic "CKPT".  The
+header is {"tensors": [{name, shape, offset, length}...], "config": {...},
+"seed": int}, offset/length in float32 elements; the payload is all
+parameters as little-endian float32, concatenated in manifest order.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -41,7 +35,7 @@ from .blocks import (
     count_params,
 )
 from .errors import ConfigError, DimensionError, FormatError
-from .rawio import CFA_BLOCK, packed_channels
+from .rawio import CFA_BLOCK, _read_container, _write_container, packed_channels
 from .scan import DIRECTION_SUBSETS
 from .tensor import Tensor, no_grad, track_macs
 
@@ -68,9 +62,9 @@ class NetworkConfig:
             raise ConfigError(f"unknown CFA {self.cfa!r}")
         if self.depth < 2:
             raise ConfigError(f"depth must be >= 2, got {self.depth}")
-        if self.base_width % self.ca_reduction != 0:
+        if min(self.base_width, self.ca_reduction) < 1 or self.base_width % self.ca_reduction != 0:
             raise ConfigError(
-                f"ca_reduction {self.ca_reduction} must divide base_width {self.base_width}"
+                f"ca_reduction {self.ca_reduction} must divide base_width {self.base_width}, both positive"
             )
         if self.scan_directions not in DIRECTION_SUBSETS:
             raise ConfigError(f"scan_directions must be one of {sorted(DIRECTION_SUBSETS)}")
@@ -92,12 +86,35 @@ class NetworkConfig:
         return [self.base_width * (1 << i) for i in range(self.depth)]
 
 
-def config_from_dict(data: dict) -> NetworkConfig:
-    known = {f.name for f in fields(NetworkConfig)}
-    unknown = set(data) - known
+# what a JSON value may be for each config field annotation
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "tuple": (list, tuple)}
+
+
+def _fits(annotation, value):
+    kind = annotation.removesuffix(" | None")
+    if value is None:
+        return kind != annotation
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, _JSON_TYPES[kind])
+
+
+def dataclass_from_dict(cls, data, label: str):
+    """Build the config dataclass ``cls`` from a parsed JSON object.
+
+    Raises ConfigError for a non-object, an unknown key, or a value whose
+    JSON type does not fit its field, as well as for what ``cls`` rejects.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{label} config must be a JSON object, got {type(data).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
-        raise ConfigError(f"unknown network config keys: {sorted(unknown)}")
-    return NetworkConfig(**data)
+        raise ConfigError(f"unknown {label} config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        if not _fits(types[key], value):
+            raise ConfigError(f"{label} config key {key!r} must be {types[key]}, got {value!r}")
+    return cls(**data)
 
 
 class TwoStageNet(Module):
@@ -165,6 +182,41 @@ class TwoStageNet(Module):
         gray = T.mean_over_channels(x_in)
         return T.nearest_upsample(T.concat_channels([gray, gray, gray]), s)
 
+    def _unet(self, stage, f, r_feats, enc_feats=None):
+        """One encoder/decoder pass over the ``<stage>_*`` level modules;
+        returns the decoder output and the encoder skips.
+
+        ``r_feats`` (None: enhance branch off) go through ``<stage>_fuse_r``
+        at each encoder level, or with ``enhance_stage="decoding"`` at the
+        bottleneck and each decoder level.  ``enc_feats`` (stage 2 gets the
+        stage-1 skips) go through ``<stage>_fuse_dn`` at each encoder level.
+        """
+        enc, down, up, skip, dec = (getattr(self, f"{stage}_{k}") for k in ("enc", "down", "up", "skip", "dec"))
+        fuse_r, fuse_dn = (getattr(self, f"{stage}_{k}", None) for k in ("fuse_r", "fuse_dn"))
+        depth = self.config.depth
+        r_enc = r_feats if self.config.enhance_stage == "encoding" else None
+        r_dec = r_feats if r_enc is None else None
+        skips = []
+        for i in range(depth):
+            if r_enc is not None:
+                f = fuse_r[i](r_enc[i], f)
+            if enc_feats is not None:
+                f = fuse_dn[i](enc_feats[i], f)
+            for blk in enc[i]:
+                f = blk(f)
+            skips.append(f)
+            if i < depth - 1:
+                f = down[i](f)
+        if r_dec is not None:
+            f = fuse_r[depth - 1](r_dec[depth - 1], f)
+        for j in range(depth - 2, -1, -1):
+            f = skip[j](T.concat_channels([up[j](f), skips[j]]))
+            if r_dec is not None:
+                f = fuse_r[j](r_dec[j], f)
+            for blk in dec[j]:
+                f = blk(f)
+        return f, skips
+
     def forward(self, packed: Tensor, skip_enhance=False):
         """Run both stages; returns (packed-resolution raw residual output, RGB output)."""
         cfg = self.config
@@ -175,60 +227,17 @@ class TwoStageNet(Module):
         if h % div or w % div:
             raise ConfigError(f"packed dims {h}x{w} must be divisible by {div} for depth {cfg.depth}")
 
+        x_in, r_feats = packed, None
         if cfg.use_retinex:
             _, refl, x_in = self.retinex(packed)
             r_feats = [refl]
             for conv in self.r_down:
                 r_feats.append(conv(r_feats[-1]))
-        else:
-            x_in = packed
+        if skip_enhance:
             r_feats = None
-        use_r = cfg.use_retinex and not skip_enhance
-        at_enc = cfg.enhance_stage == "encoding"
-
-        # stage 1
-        f = self.dn_in(x_in)
-        dn_skips = []
-        for i in range(cfg.depth):
-            if use_r and at_enc:
-                f = self.dn_fuse_r[i](r_feats[i], f)
-            for blk in self.dn_enc[i]:
-                f = blk(f)
-            dn_skips.append(f)
-            if i < cfg.depth - 1:
-                f = self.dn_down[i](f)
-        if use_r and not at_enc:
-            f = self.dn_fuse_r[cfg.depth - 1](r_feats[cfg.depth - 1], f)
-        for j in range(cfg.depth - 2, -1, -1):
-            f = self.dn_up[j](f)
-            f = self.dn_skip[j](T.concat_channels([f, dn_skips[j]]))
-            if use_r and not at_enc:
-                f = self.dn_fuse_r[j](r_feats[j], f)
-            for blk in self.dn_dec[j]:
-                f = blk(f)
+        f, dn_skips = self._unet("dn", self.dn_in(x_in), r_feats)
         o1 = T.add(self.dn_head(f), x_in)
-
-        # stage 2
-        g = self.dm_in(x_in)
-        dm_skips = []
-        for i in range(cfg.depth):
-            if use_r and at_enc:
-                g = self.dm_fuse_r[i](r_feats[i], g)
-            g = self.dm_fuse_dn[i](dn_skips[i], g)
-            for blk in self.dm_enc[i]:
-                g = blk(g)
-            dm_skips.append(g)
-            if i < cfg.depth - 1:
-                g = self.dm_down[i](g)
-        if use_r and not at_enc:
-            g = self.dm_fuse_r[cfg.depth - 1](r_feats[cfg.depth - 1], g)
-        for j in range(cfg.depth - 2, -1, -1):
-            g = self.dm_up[j](g)
-            g = self.dm_skip[j](T.concat_channels([g, dm_skips[j]]))
-            if use_r and not at_enc:
-                g = self.dm_fuse_r[j](r_feats[j], g)
-            for blk in self.dm_dec[j]:
-                g = blk(g)
+        g, _ = self._unet("dm", self.dm_in(x_in), r_feats, dn_skips)
         o2 = T.add(T.pixel_shuffle(self.dm_head(g), cfg.pixel_scale), self._naive_rgb(x_in))
         return o1, o2
 
@@ -296,15 +305,9 @@ def save_checkpoint(path, net: TwoStageNet, config_echo: dict, seed: int):
     for name, p in net.named_params():
         flat = np.ascontiguousarray(p.data, dtype="<f4").ravel()
         entries.append({"name": name, "shape": list(p.data.shape), "offset": offset, "length": int(flat.size)})
-        chunks.append(flat)
+        chunks.append(flat.tobytes())
         offset += int(flat.size)
-    header = json.dumps({"tensors": entries, "config": config_echo, "seed": int(seed)}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for chunk in chunks:
-            fh.write(chunk.tobytes())
+    _write_container(path, CKPT_MAGIC, {"tensors": entries, "config": config_echo, "seed": int(seed)}, chunks)
 
 
 def _is_count(v):
@@ -313,8 +316,6 @@ def _is_count(v):
 
 def _check_manifest(header):
     """Raise FormatError unless ``header`` has the fields save_checkpoint writes."""
-    if not isinstance(header, dict):
-        raise FormatError("checkpoint header is not a JSON object")
     if not isinstance(header.get("tensors"), list):
         raise FormatError("checkpoint manifest has no 'tensors' list")
     if not isinstance(header.get("config"), dict) or not _is_count(header.get("seed")):
@@ -333,26 +334,20 @@ def _check_manifest(header):
 
 def load_checkpoint(path):
     """Parse a checkpoint file; returns (header dict, {name: float32 ndarray})."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CKPT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {blob[:4]!r}")
-    if len(blob) < 8:
-        raise FormatError("truncated checkpoint header")
-    header_len = int(np.frombuffer(blob[4:8], dtype="<u4")[0])
-    try:
-        header = json.loads(blob[8:8 + header_len].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise FormatError(f"malformed checkpoint header: {exc}") from exc
+    header, payload = _read_container(path, CKPT_MAGIC)
     _check_manifest(header)
-    payload = blob[8 + header_len:]
+    if len(payload) % 4:
+        raise FormatError(f"checkpoint blob of {len(payload)} bytes is not whole float32 values")
     values = np.frombuffer(payload, dtype="<f4")
     tensors = {}
     for entry in header["tensors"]:
         lo, n = entry["offset"], entry["length"]
         if lo + n > values.size:
             raise FormatError(f"checkpoint blob too short for tensor {entry['name']}")
-        tensors[entry["name"]] = values[lo:lo + n].reshape(entry["shape"]).copy()
+        try:
+            tensors[entry["name"]] = values[lo:lo + n].reshape(entry["shape"]).copy()
+        except ValueError as exc:
+            raise FormatError(f"checkpoint tensor {entry['name']!r}: {exc}") from exc
     expected = sum(e["length"] for e in header["tensors"])
     if values.size != expected:
         raise FormatError(f"checkpoint blob has {values.size} floats, manifest declares {expected}")
@@ -362,7 +357,7 @@ def load_checkpoint(path):
 def network_from_checkpoint(path, dtype=np.float32):
     header, tensors = load_checkpoint(path)
     try:
-        net_cfg = config_from_dict(header["config"]["network"])
+        net_cfg = dataclass_from_dict(NetworkConfig, header["config"]["network"], "network")
     except KeyError as exc:
         raise FormatError("checkpoint config echo is missing the network section") from exc
     net = TwoStageNet(net_cfg, seed=int(header["seed"]), dtype=dtype)
@@ -386,7 +381,7 @@ def network_config_echo(cfg: NetworkConfig) -> dict:
 __all__ = [
     "NetworkConfig",
     "TwoStageNet",
-    "config_from_dict",
+    "dataclass_from_dict",
     "count_flops",
     "count_params",
     "load_checkpoint",

@@ -1,12 +1,16 @@
 """RAW container I/O, CFA packing, and 8-bit PPM image output.
 
-Container layout (little endian throughout):
+Containers (this module's RRAW and the model's CKPT) share one framing,
+little endian throughout:
 
-    bytes 0..3   magic "RRAW"
+    bytes 0..3   magic ("RRAW" or "CKPT")
     bytes 4..7   u32 header length
-    header       UTF-8 JSON: {width, height, cfa: "RGGB"|"XTRANS",
-                 black_level, white_level, exposure_ratio}
-    plane        height*width u16 values, row major
+    header       UTF-8 JSON object
+    payload      the rest of the file
+
+An RRAW header is {width, height, cfa: "RGGB"|"XTRANS", black_level,
+white_level, exposure_ratio}; its payload is height*width u16 values, row
+major.
 
 Packing turns the single-plane mosaic into one channel per CFA site at
 reduced resolution: 2x2 blocks -> 4 channels for Bayer RGGB, 3x3 blocks ->
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass
 
@@ -43,12 +48,12 @@ class RawImage:
     plane: np.ndarray  # u16, (height, width)
 
     def __post_init__(self):
-        if self.cfa not in CFA_BLOCK:
+        if not isinstance(self.cfa, str) or self.cfa not in CFA_BLOCK:
             raise ConfigError(f"unknown CFA {self.cfa!r}; expected RGGB or XTRANS")
         if self.black_level >= self.white_level:
             raise ConfigError(f"black_level {self.black_level} must be below white_level {self.white_level}")
-        if self.exposure_ratio <= 0:
-            raise ConfigError(f"exposure_ratio must be positive, got {self.exposure_ratio}")
+        if not (math.isfinite(self.exposure_ratio) and self.exposure_ratio > 0):
+            raise ConfigError(f"exposure_ratio must be positive and finite, got {self.exposure_ratio}")
         self.plane = np.asarray(self.plane, dtype=np.uint16)
         if self.plane.shape != (self.height, self.width):
             raise ConfigError(f"plane shape {self.plane.shape} != ({self.height}, {self.width})")
@@ -87,59 +92,76 @@ def pack(raw: RawImage) -> np.ndarray:
     return pack_mosaic(scaled, raw.cfa)
 
 
-def write_raw_container(raw: RawImage, path):
-    header = json.dumps(
-        {
-            "width": raw.width,
-            "height": raw.height,
-            "cfa": raw.cfa,
-            "black_level": int(raw.black_level),
-            "white_level": int(raw.white_level),
-            "exposure_ratio": float(raw.exposure_ratio),
-        }
-    ).encode("utf-8")
+def _write_container(path, magic, header: dict, payload):
+    """Write ``magic``, the u32 length of ``header`` as JSON, the header and
+    each bytes-like chunk of ``payload``."""
+    head = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(RAW_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(raw.plane.astype("<u2").tobytes())
+        fh.write(magic)
+        fh.write(struct.pack("<I", len(head)))
+        fh.write(head)
+        for chunk in payload:
+            fh.write(chunk)
+
+
+def _read_container(path, magic) -> tuple[dict, bytes]:
+    """Split a container into (header object, payload bytes).
+
+    Every framing fault raises FormatError: wrong magic, no length prefix, a
+    header running past the end of the file, non-UTF-8 or non-JSON header
+    bytes, and JSON that is not an object.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    kind = magic.decode()
+    if blob[:4] != magic:
+        raise FormatError(f"bad magic {blob[:4]!r}, expected {magic!r}")
+    if len(blob) < 8:
+        raise FormatError(f"truncated {kind} container: missing header length")
+    end = 8 + struct.unpack("<I", blob[4:8])[0]
+    if len(blob) < end:
+        raise FormatError(f"truncated {kind} container: header shorter than declared")
+    try:
+        header = json.loads(blob[8:end].decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise FormatError(f"malformed {kind} header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{kind} header is not a JSON object")
+    return header, blob[end:]
+
+
+def write_raw_container(raw: RawImage, path):
+    header = {
+        "width": raw.width,
+        "height": raw.height,
+        "cfa": raw.cfa,
+        "black_level": int(raw.black_level),
+        "white_level": int(raw.white_level),
+        "exposure_ratio": float(raw.exposure_ratio),
+    }
+    _write_container(path, RAW_MAGIC, header, [raw.plane.astype("<u2").tobytes()])
 
 
 def read_raw_container(path) -> RawImage:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != RAW_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {RAW_MAGIC!r}")
-    if len(blob) < 8:
-        raise FormatError("truncated container: missing header length")
-    header_len = int(np.frombuffer(blob[4:8], dtype="<u4")[0])
-    if len(blob) < 8 + header_len:
-        raise FormatError("truncated container: header shorter than declared")
+    header, plane_bytes = _read_container(path, RAW_MAGIC)
     try:
-        header = json.loads(blob[8:8 + header_len].decode("utf-8"))
         width, height = int(header["width"]), int(header["height"])
-        cfa = header["cfa"]
         black, white = int(header["black_level"]), int(header["white_level"])
         ratio = float(header["exposure_ratio"])
-    except (KeyError, ValueError, UnicodeDecodeError) as exc:
-        raise FormatError(f"malformed header: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed header: {exc!r}") from exc
     if width <= 0 or height <= 0:
         raise FormatError(f"header dimensions must be positive, got {width}x{height}")
-    plane_bytes = blob[8 + header_len:]
     if len(plane_bytes) != 2 * width * height:
         raise FormatError(
             f"plane size {len(plane_bytes)} bytes disagrees with header {width}x{height} (u16)"
         )
     plane = np.frombuffer(plane_bytes, dtype="<u2").reshape(height, width)
-    return RawImage(
-        width=width,
-        height=height,
-        cfa=cfa,
-        black_level=black,
-        white_level=white,
-        exposure_ratio=ratio,
-        plane=plane.copy(),
-    )
+    try:
+        return RawImage(width=width, height=height, cfa=header.get("cfa"), black_level=black,
+                        white_level=white, exposure_ratio=ratio, plane=plane.copy())
+    except ConfigError as exc:
+        raise FormatError(f"invalid RRAW header: {exc}") from exc
 
 
 def write_ppm(rgb: np.ndarray, path) -> int:
@@ -184,9 +206,13 @@ def read_ppm(path) -> np.ndarray:
         fields.append(blob[start:pos])
     if fields[0] != b"P6":
         raise FormatError(f"not a binary PPM: magic {fields[0]!r}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if not all(f.isdigit() and len(f) < 10 for f in fields[1:]):
+        raise FormatError(f"PPM width, height and maxval must be decimal numbers, got {fields[1:]!r}")
+    w, h, maxval = (int(f) for f in fields[1:])
     if maxval != 255:
         raise FormatError(f"only 8-bit PPM supported, maxval={maxval}")
+    if w == 0 or h == 0:
+        raise FormatError(f"PPM dimensions must be positive, got {w}x{h}")
     pos += 1  # single whitespace after maxval
     data = blob[pos:pos + 3 * w * h]
     if len(data) != 3 * w * h:

@@ -10,9 +10,10 @@ Forward results are checked for NaN/Inf: a non-finite value on finite inputs
 is a contract violation and raises ``NumericError`` instead of propagating.
 
 All primitives here have hand-derived analytic backwards; reductions use a
-fixed order so results stay bit-stable.  ``sum_list`` and the direction
-merge in ``multi_scatter`` reduce pairwise (a fixed balanced tree), which
-keeps sums of k identical arrays exact for power-of-two k.
+fixed order so results stay bit-stable.  The direction merge in
+``multi_scatter`` (and its adjoint in ``multi_gather``) reduces pairwise (a
+fixed balanced tree), which keeps sums of k identical arrays exact for
+power-of-two k.
 """
 
 from __future__ import annotations
@@ -266,15 +267,6 @@ def absolute(a):
 # activations
 
 
-def relu(a):
-    mask = a.data > 0
-
-    def bwd(g):
-        _accumulate(a, g * mask)
-
-    return _record(np.where(mask, a.data, 0.0), (a,), bwd, "relu")
-
-
 def sigmoid(a):
     s = _expit(a.data)
 
@@ -333,22 +325,6 @@ def sum_all(a):
         _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return _record(np.asarray(a.data.sum(), dtype=a.dtype), (a,), bwd, "sum_all")
-
-
-def sum_list(tensors):
-    """Sum same-shape tensors with a fixed pairwise (balanced-tree) reduction."""
-    if not tensors:
-        raise ContractError("sum_list needs at least one tensor")
-    shape = tensors[0].data.shape
-    for t in tensors:
-        if t.data.shape != shape:
-            raise DimensionError(f"sum_list shape mismatch: {t.data.shape} vs {shape}")
-
-    def bwd(g):
-        for t in tensors:
-            _accumulate(t, g)
-
-    return _record(_tree_sum([t.data for t in tensors]), tuple(tensors), bwd, "sum_list")
 
 
 def _tree_sum(arrays):
@@ -441,19 +417,6 @@ def transpose(a, axes):
         _accumulate(a, np.transpose(g, inv))
 
     return _record(np.transpose(a.data, axes), (a,), bwd, "transpose")
-
-
-def strided_downsample(a, stride):
-    """Keep every ``stride``-th pixel along both spatial axes of (C, H, W)."""
-    if a.data.ndim != 3:
-        raise DimensionError(f"strided_downsample expects (C, H, W), got {a.data.shape}")
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[:, ::stride, ::stride] = g
-        _accumulate(a, full)
-
-    return _record(a.data[:, ::stride, ::stride], (a,), bwd, "strided_downsample")
 
 
 def scale_by_channel(a, s):
@@ -659,28 +622,6 @@ def conv_transpose2d(x, w, b=None, stride=1, padding=0):
 
 # ---------------------------------------------------------------------------
 # permutation ops (last-axis gathers used by the directional scans)
-
-
-def gather_permute(a, order, inverse):
-    """Permute the last axis: out[..., k] = a[..., order[k]]."""
-    if order.shape[0] != a.data.shape[-1]:
-        raise DimensionError(f"order length {order.shape[0]} != last axis {a.data.shape[-1]}")
-
-    def bwd(g):
-        _accumulate(a, np.take(g, inverse, axis=-1))
-
-    return _record(np.take(a.data, order, axis=-1), (a,), bwd, "gather_permute")
-
-
-def scatter_inverse(a, order, inverse):
-    """Inverse of gather_permute: out[..., order[k]] = a[..., k]."""
-    if order.shape[0] != a.data.shape[-1]:
-        raise DimensionError(f"order length {order.shape[0]} != last axis {a.data.shape[-1]}")
-
-    def bwd(g):
-        _accumulate(a, np.take(g, order, axis=-1))
-
-    return _record(np.take(a.data, inverse, axis=-1), (a,), bwd, "scatter_inverse")
 
 
 def multi_gather(a, orders, inverses):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class TrainConfig:
     epochs: int = 250
     steps: int | None = None
     seed: int = 0
-    batch: int = 1
     cosine_horizon_frac: float = 0.8
     augment: bool = True
     dtype: str = "float32"
@@ -53,25 +52,17 @@ class TrainConfig:
             raise ConfigError(f"lr_final {self.lr_final} must not exceed lr_init {self.lr_init}")
         if self.schedule not in ("cosine", "constant"):
             raise ConfigError(f"schedule must be 'cosine' or 'constant', got {self.schedule!r}")
-        if self.batch != 1:
-            raise ConfigError("only batch size 1 is supported")
         if not 0.0 < self.cosine_horizon_frac <= 1.0:
             raise ConfigError("cosine_horizon_frac must be in (0, 1]")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         self.betas = tuple(self.betas)
+        if len(self.betas) != 2 or not all(isinstance(b, (int, float)) and 0 <= b < 1 for b in self.betas):
+            raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
 
     @property
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
-
-
-def dataclass_from_dict(cls, data: dict, label: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown {label} config keys: {sorted(unknown)}")
-    return cls(**data)
 
 
 def _norm_term(pred, target, kind):

@@ -163,3 +163,39 @@ def test_gen_data_announce_and_baseline(capsys, tmp_path):
 def test_eval_missing_dataset_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--ckpt", str(tmp_path / "x.ckpt"), "--data", str(tmp_path))
     assert code == 1
+
+
+def _one_json_error(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("index", ["{}", "[]"], ids=["empty-object", "list"])
+def test_train_on_malformed_dataset_index_is_one_json_error(capsys, tmp_path, index):
+    (tmp_path / "index.json").write_text(index)
+    code, _, err = run(capsys, "train", "--data", str(tmp_path), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert _one_json_error(err) == "FormatError"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        [],
+        {"network": []},
+        {"network": {"depth": "3"}},
+        {"train": [["seed", 1]]},
+        {"network": {"ca_reduction": 0}},
+        {"network": {"base_width": 0}},
+    ],
+    ids=["list", "network-list", "string-depth", "train-pairs", "zero-reduction", "zero-width"],
+)
+def test_train_with_malformed_config_is_one_json_error(capsys, tmp_path, config):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = run(
+        capsys, "train", "--data", str(tmp_path), "--out", str(tmp_path / "run"), "--config", str(cfg_path), "--seed", "2"
+    )
+    assert code == 1
+    assert _one_json_error(err) == "ConfigError"

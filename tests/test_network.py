@@ -11,8 +11,8 @@ from nightscan.errors import ConfigError, FormatError
 from nightscan.model import (
     NetworkConfig,
     TwoStageNet,
-    config_from_dict,
     count_flops,
+    dataclass_from_dict,
     load_checkpoint,
     network_from_checkpoint,
     save_checkpoint,
@@ -141,7 +141,7 @@ class TestAccounting:
 
     def test_config_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
-            config_from_dict({"widht": 3})
+            dataclass_from_dict(NetworkConfig, {"widht": 3}, "network")
 
 
 class TestCheckpoint:

@@ -171,8 +171,9 @@ class TestPermutations:
     @pytest.mark.parametrize("rev", [False, True])
     def test_gather_then_scatter_is_identity(self, rng, h, w, base, rev):
         order = build_order(ScanDirection(base, rev), h, w)
+        orders, inverses = order.order[None], order.inverse[None]
         x = Tensor(rng.standard_normal((3, h * w)))
-        out = T.scatter_inverse(T.gather_permute(x, order.order, order.inverse), order.order, order.inverse)
+        out = T.multi_scatter(T.multi_gather(x, orders, inverses), orders, inverses)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_multi_gather_rows_match_single_gathers(self, rng):
@@ -203,11 +204,6 @@ class TestStructureOps:
         out = T.nearest_upsample(x, 2)
         np.testing.assert_array_equal(out.data[0, :2, :2], np.ones((2, 2)))
 
-    def test_strided_downsample_picks_grid(self):
-        x = Tensor(np.arange(16.0).reshape(1, 4, 4))
-        out = T.strided_downsample(x, 2)
-        np.testing.assert_array_equal(out.data[0], [[0, 2], [8, 10]])
-
     def test_concat_then_narrow_roundtrip(self, rng):
         a = Tensor(rng.standard_normal((2, 3, 3)))
         b = Tensor(rng.standard_normal((3, 3, 3)))
@@ -218,11 +214,6 @@ class TestStructureOps:
     def test_chunk2_requires_even_channels(self, rng):
         with pytest.raises(ConfigError):
             T.chunk2(Tensor(rng.standard_normal((3, 2, 2))))
-
-    def test_sum_list_of_identical_tensors_is_exact_multiple(self, rng):
-        x = Tensor(rng.standard_normal((3, 3)))
-        out = T.sum_list([x] * 8)
-        np.testing.assert_array_equal(out.data, 8.0 * x.data)
 
     def test_mean_over_channels_keeps_spatial(self, rng):
         x = Tensor(rng.standard_normal((4, 2, 3)))

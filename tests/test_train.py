@@ -5,14 +5,13 @@ import pytest
 
 from nightscan.data import gen_synthetic
 from nightscan.errors import ConfigError, NumericError
-from nightscan.model import NetworkConfig
+from nightscan.model import NetworkConfig, dataclass_from_dict
 from nightscan.tensor import Tensor, backward
 from nightscan.train import (
     AdamW,
     LossConfig,
     TrainConfig,
     cosine_lr,
-    dataclass_from_dict,
     evaluate,
     total_loss,
     train,
@@ -190,4 +189,17 @@ class TestConfigParsing:
 
     def test_batch_must_be_one(self):
         with pytest.raises(ConfigError):
-            TrainConfig(batch=2)
+            dataclass_from_dict(TrainConfig, {"batch": 2}, "train")
+
+    @pytest.mark.parametrize(
+        "data",
+        [[], 3, {"steps": "10"}, {"augment": 1}, {"lr_init": True}, {"betas": [0.9]}, {"betas": ["a", "b"]}],
+        ids=["list", "number", "string-steps", "int-bool", "bool-float", "one-beta", "string-betas"],
+    )
+    def test_malformed_values_rejected(self, data):
+        with pytest.raises(ConfigError):
+            dataclass_from_dict(TrainConfig, data, "train")
+
+    def test_null_steps_and_int_lr_accepted(self):
+        cfg = dataclass_from_dict(TrainConfig, {"steps": None, "lr_init": 1, "lr_final": 0}, "train")
+        assert cfg.steps is None and cfg.lr_init == 1
