@@ -60,11 +60,13 @@ def kaiming_uniform(rng, shape, fan_in, dtype):
 
 
 class Conv2d(Module):
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=None, bias=True, *, rng, dtype):
+    """Convolution with a bias and (kernel - 1) // 2 zero padding."""
+
+    def __init__(self, in_ch, out_ch, kernel, stride=1, *, rng, dtype):
         self.stride = stride
-        self.padding = (kernel - 1) // 2 if padding is None else padding
+        self.padding = (kernel - 1) // 2
         self.w = kaiming_uniform(rng, (out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel, dtype)
-        self.b = _param(np.zeros(out_ch), dtype) if bias else None
+        self.b = _param(np.zeros(out_ch), dtype)
 
     def __call__(self, x):
         return T.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
@@ -108,9 +110,10 @@ class ChannelAttention(Module):
         self.w2 = kaiming_uniform(rng, (channels, hidden), hidden, dtype)
 
     def __call__(self, x):
-        pooled = T.reshape(T.global_avg_pool(x), (x.shape[0], 1))
+        c = x.shape[0]
+        pooled = T.reshape(T.mean(x, axis=(1, 2)), (c, 1))
         s = T.sigmoid(T.matmul(self.w2, T.softplus(T.matmul(self.w1, pooled))))
-        return T.scale_by_channel(x, T.reshape(s, (x.shape[0],)))
+        return T.mul(x, T.reshape(s, (c, 1, 1)))
 
 
 class DirectionalScan2d(Module):
@@ -174,7 +177,9 @@ class GatedScanBlock(Module):
         self.norm = ChannelNorm(channels, dtype=dtype)
 
     def __call__(self, x):
-        xs, z = T.chunk2(self.proj(x))
+        c = x.shape[0]
+        p = self.proj(x)
+        xs, z = T.narrow_channels(p, 0, c), T.narrow_channels(p, c, c)
         xs = self.norm(self.mixer(T.silu(self.conv(xs))))
         return T.mul(xs, T.silu(z))
 
@@ -219,7 +224,7 @@ class RetinexDecomposition(Module):
         self.conv_light.b.data[:] = 1.0
 
     def __call__(self, x):
-        m = T.mean_over_channels(x)
+        m = T.mean(x, axis=0, keepdims=True)
         refl = T.gelu(self.conv_c(self.conv_b(self.conv_a(T.concat_channels([x, m])))))
         light = self.conv_light(refl)
         return light, refl, T.mul(x, light)

@@ -93,8 +93,8 @@ def primitive_cases():
         case("softplus", unary(T.softplus)),
         case("mean", unary(T.mean)),
         case("sum_all", unary(T.sum_all)),
-        case("mean_over_channels", unary(T.mean_over_channels, shape=(4, 3, 3))),
-        case("global_avg_pool", unary(T.global_avg_pool, shape=(4, 3, 3))),
+        case("mean_axis0_keepdims", unary(lambda x: T.mean(x, axis=0, keepdims=True), shape=(4, 3, 3))),
+        case("mean_spatial", unary(lambda x: T.mean(x, axis=(1, 2)), shape=(4, 3, 3))),
         case("reshape", unary(lambda x: T.reshape(x, (4, 3)))),
         case("transpose", unary(lambda x: T.transpose(x, (1, 0)))),
         case("pixel_shuffle", unary(lambda x: T.pixel_shuffle(x, 2), shape=(8, 2, 2))),
@@ -104,10 +104,6 @@ def primitive_cases():
     def concat_case(rng):
         a, b = _leaf(rng, (2, 3, 3)), _leaf(rng, (3, 3, 3))
         return (lambda: _mean_sq(T.concat_channels([a, b]))), {"a": a, "b": b}
-
-    def scale_by_channel_case(rng):
-        x, s = _leaf(rng, (3, 2, 2)), _leaf(rng, (3,))
-        return (lambda: _mean_sq(T.scale_by_channel(x, s))), {"x": x, "s": s}
 
     def matmul_case(rng):
         a, b = _leaf(rng, (2, 3, 4)), _leaf(rng, (4, 2))
@@ -172,7 +168,6 @@ def primitive_cases():
 
     cases += [
         case("concat_channels", concat_case),
-        case("scale_by_channel", scale_by_channel_case),
         case("matmul", matmul_case),
         case("layer_norm", layer_norm_case),
         case("conv2d_s1", conv_case(1)),

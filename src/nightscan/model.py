@@ -62,6 +62,10 @@ class NetworkConfig:
             raise ConfigError(f"unknown CFA {self.cfa!r}")
         if self.depth < 2:
             raise ConfigError(f"depth must be >= 2, got {self.depth}")
+        if min(self.state_dim, self.blocks_per_level) < 1:
+            raise ConfigError(
+                f"state_dim {self.state_dim} and blocks_per_level {self.blocks_per_level} must be >= 1"
+            )
         if min(self.base_width, self.ca_reduction) < 1 or self.base_width % self.ca_reduction != 0:
             raise ConfigError(
                 f"ca_reduction {self.ca_reduction} must divide base_width {self.base_width}, both positive"
@@ -137,6 +141,25 @@ class TwoStageNet(Module):
         def scan_block(width):
             return ScanResidualBlock(width, cfg.state_dim, dirs, cfg.ca_reduction, rng=rng, dtype=dtype)
 
+        def unet(stage, block, head_ch, fuse_dn=False):
+            """Build the ``<stage>_*`` level modules that ``_unet`` runs, in init-draw order."""
+            levels = range(depth - 1)
+            parts = {"in": Conv2d(in_ch, widths[0], 3, rng=rng, dtype=dtype)}
+            if cfg.use_retinex:
+                parts["fuse_r"] = [fuse(w) for w in widths]
+            if fuse_dn:
+                parts["fuse_dn"] = [fuse(w) for w in widths]
+            parts["enc"] = [[block(w) for _ in range(cfg.blocks_per_level)] for w in widths]
+            parts["down"] = [Conv2d(widths[i], widths[i + 1], 3, stride=2, rng=rng, dtype=dtype) for i in levels]
+            parts["up"] = [
+                ConvTranspose2d(widths[j + 1], widths[j], 2, stride=2, rng=rng, dtype=dtype) for j in levels
+            ]
+            parts["skip"] = [Conv2d(2 * widths[j], widths[j], 1, rng=rng, dtype=dtype) for j in levels]
+            parts["dec"] = [[block(widths[j]) for _ in range(cfg.blocks_per_level)] for j in levels]
+            parts["head"] = Conv2d(widths[0], head_ch, 3, rng=rng, dtype=dtype)
+            for key, module in parts.items():
+                setattr(self, f"{stage}_{key}", module)
+
         if cfg.use_retinex:
             self.retinex = RetinexDecomposition(in_ch, widths[0], rng=rng, dtype=dtype)
             self.r_down = [
@@ -144,29 +167,8 @@ class TwoStageNet(Module):
                 for i in range(1, depth)
             ]
 
-        # stage 1: denoise
-        self.dn_in = Conv2d(in_ch, widths[0], 3, rng=rng, dtype=dtype)
-        if cfg.use_retinex:
-            self.dn_fuse_r = [fuse(widths[i]) for i in range(depth)]
-        self.dn_enc = [[res_block(widths[i]) for _ in range(cfg.blocks_per_level)] for i in range(depth)]
-        self.dn_down = [Conv2d(widths[i], widths[i + 1], 3, stride=2, rng=rng, dtype=dtype) for i in range(depth - 1)]
-        self.dn_up = [ConvTranspose2d(widths[j + 1], widths[j], 2, stride=2, rng=rng, dtype=dtype) for j in range(depth - 1)]
-        self.dn_skip = [Conv2d(2 * widths[j], widths[j], 1, rng=rng, dtype=dtype) for j in range(depth - 1)]
-        self.dn_dec = [[res_block(widths[j]) for _ in range(cfg.blocks_per_level)] for j in range(depth - 1)]
-        self.dn_head = Conv2d(widths[0], in_ch, 3, rng=rng, dtype=dtype)
-
-        # stage 2: demosaic
-        self.dm_in = Conv2d(in_ch, widths[0], 3, rng=rng, dtype=dtype)
-        if cfg.use_retinex:
-            self.dm_fuse_r = [fuse(widths[i]) for i in range(depth)]
-        self.dm_fuse_dn = [fuse(widths[i]) for i in range(depth)]
-        self.dm_enc = [[scan_block(widths[i]) for _ in range(cfg.blocks_per_level)] for i in range(depth)]
-        self.dm_down = [Conv2d(widths[i], widths[i + 1], 3, stride=2, rng=rng, dtype=dtype) for i in range(depth - 1)]
-        self.dm_up = [ConvTranspose2d(widths[j + 1], widths[j], 2, stride=2, rng=rng, dtype=dtype) for j in range(depth - 1)]
-        self.dm_skip = [Conv2d(2 * widths[j], widths[j], 1, rng=rng, dtype=dtype) for j in range(depth - 1)]
-        self.dm_dec = [[scan_block(widths[j]) for _ in range(cfg.blocks_per_level)] for j in range(depth - 1)]
-        scale = cfg.pixel_scale
-        self.dm_head = Conv2d(widths[0], 3 * scale * scale, 3, rng=rng, dtype=dtype)
+        unet("dn", res_block, in_ch)  # stage 1: denoise
+        unet("dm", scan_block, 3 * cfg.pixel_scale ** 2, fuse_dn=True)  # stage 2: demosaic
 
     def _naive_rgb(self, x_in):
         """Parameter-free color start for the demosaic head: nearest-neighbor
@@ -179,7 +181,7 @@ class TwoStageNet(Module):
             g = T.scale(T.add(T.narrow_channels(x_in, 1, 1), T.narrow_channels(x_in, 2, 1)), 0.5)
             b = T.narrow_channels(x_in, 3, 1)
             return T.nearest_upsample(T.concat_channels([r, g, b]), s)
-        gray = T.mean_over_channels(x_in)
+        gray = T.mean(x_in, axis=0, keepdims=True)
         return T.nearest_upsample(T.concat_channels([gray, gray, gray]), s)
 
     def _unet(self, stage, f, r_feats, enc_feats=None):
@@ -360,6 +362,8 @@ def network_from_checkpoint(path, dtype=np.float32):
         net_cfg = dataclass_from_dict(NetworkConfig, header["config"]["network"], "network")
     except KeyError as exc:
         raise FormatError("checkpoint config echo is missing the network section") from exc
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint config echo is not a valid network config: {exc}") from exc
     net = TwoStageNet(net_cfg, seed=int(header["seed"]), dtype=dtype)
     names = [name for name, _ in net.named_params()]
     if set(names) != set(tensors):

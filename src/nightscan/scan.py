@@ -96,16 +96,11 @@ def _vertical(h, w):
 
 
 def _diag_tlbr(h, w):
-    out = np.empty(h * w, dtype=np.int64)
-    pos = 0
-    for d in range(h + w - 1):
-        i_lo = max(0, d - w + 1)
-        i_hi = min(d, h - 1)
-        rows = range(i_lo, i_hi + 1) if d % 2 == 0 else range(i_hi, i_lo - 1, -1)
-        for i in rows:
-            out[pos] = i * w + (d - i)
-            pos += 1
-    return out
+    # sort cells by diagonal d = i + j, then by row: increasing on an even d,
+    # decreasing on an odd d (every key is distinct)
+    i, j = np.divmod(np.arange(h * w, dtype=np.int64), w)
+    d = i + j
+    return np.argsort(d * h + np.where(d % 2 == 0, i, h - 1 - i), kind="stable")
 
 
 def _diag_trbl(h, w):
@@ -133,15 +128,14 @@ def build_order(direction: ScanDirection, h: int, w: int) -> ScanOrder:
     return ScanOrder(order=order, inverse=inverse, height=h, width=w)
 
 
-@lru_cache(maxsize=ORDER_CACHE_SHAPES)
 def all_eight(h: int, w: int) -> tuple[ScanOrder, ...]:
-    """All eight orders in the fixed DIRECTIONS enumeration, cached per (h, w)."""
+    """All eight orders in the fixed DIRECTIONS enumeration."""
     return tuple(build_order(d, h, w) for d in DIRECTIONS)
 
 
 @lru_cache(maxsize=ORDER_CACHE_SHAPES)
 def stacked_orders(h: int, w: int):
-    """(8, L) order and inverse arrays, rows in DIRECTIONS enumeration order."""
+    """(8, L) order and inverse arrays, rows in DIRECTIONS enumeration order, cached per (h, w)."""
     orders = all_eight(h, w)
     return (np.stack([o.order for o in orders]), np.stack([o.inverse for o in orders]))
 

@@ -111,7 +111,9 @@ def discretize(a, b, delta):
     """Zero-order-hold discretization; inputs broadcast elementwise.
 
     Returns (abar, bbar), views of L-major buffers (see the module notes).
-    Requires delta > 0 everywhere.
+    Requires delta >= 0 everywhere.  delta = 0 (float32 softplus underflows
+    to it) gives the exact limit abar = 1, bbar = 0, through the Taylor
+    branch of the ZOH factor.
     """
     if not isinstance(a, Tensor):
         a = Tensor(a)
@@ -119,8 +121,8 @@ def discretize(a, b, delta):
         b = Tensor(b)
     if not isinstance(delta, Tensor):
         delta = Tensor(delta)
-    if np.any(delta.data <= 0.0):
-        raise ContractError("discretize requires delta > 0")
+    if np.any(delta.data < 0.0):
+        raise ContractError("discretize requires delta >= 0")
 
     ad, bd, dd = a.data, b.data, delta.data
     shape = np.broadcast_shapes(ad.shape, bd.shape, dd.shape)

@@ -104,9 +104,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -136,7 +133,7 @@ def _accumulate(t, g):
     if not t.requires_grad:
         return
     if g.shape != t.data.shape:
-        g = np.reshape(g, t.data.shape)
+        raise DimensionError(f"gradient of shape {g.shape} for a tensor of shape {t.data.shape}")
     if t.grad is None:
         t.grad = g.astype(t.data.dtype, copy=True)
     else:
@@ -228,39 +225,36 @@ def mul(a, b):
     return _record(ad * bd, (a, b), bwd, "mul")
 
 
-def neg(a):
-    def bwd(g):
-        _accumulate(a, -g)
+def _unary(a, out, local_grad, op):
+    """Record a one-input elementwise op whose backward is ``g * local_grad()``.
 
-    return _record(-a.data, (a,), bwd, "neg")
+    ``local_grad`` reads only arrays captured when the op ran forward.
+    """
+
+    def bwd(g):
+        _accumulate(a, g * local_grad())
+
+    return _record(out, (a,), bwd, op)
+
+
+def neg(a):
+    return _unary(a, -a.data, lambda: -1.0, "neg")
 
 
 def scale(a, s):
     """Multiply by a python scalar without promoting the dtype."""
     s = float(s)
-
-    def bwd(g):
-        _accumulate(a, g * s)
-
-    return _record(a.data * s, (a,), bwd, "scale")
+    return _unary(a, a.data * s, lambda: s, "scale")
 
 
 def exp(a):
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * out_data)
-
-    return _record(out_data, (a,), bwd, "exp")
+    out = np.exp(a.data)
+    return _unary(a, out, lambda: out, "exp")
 
 
 def absolute(a):
     sign = np.sign(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * sign)
-
-    return _record(np.abs(a.data), (a,), bwd, "absolute")
+    return _unary(a, np.abs(a.data), lambda: sign, "absolute")
 
 
 # ---------------------------------------------------------------------------
@@ -269,55 +263,41 @@ def absolute(a):
 
 def sigmoid(a):
     s = _expit(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * (s * (1.0 - s)))
-
-    return _record(s, (a,), bwd, "sigmoid")
+    return _unary(a, s, lambda: s * (1.0 - s), "sigmoid")
 
 
 def silu(a):
-    s = _expit(a.data)
-    x = a.data
-
-    def bwd(g):
-        _accumulate(a, g * (s * (1.0 + x * (1.0 - s))))
-
-    return _record(x * s, (a,), bwd, "silu")
+    x, s = a.data, _expit(a.data)
+    return _unary(a, x * s, lambda: s * (1.0 + x * (1.0 - s)), "silu")
 
 
 def gelu(a):
     """Exact Gaussian-CDF form: x * Phi(x)."""
     x = a.data
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-
-    def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        _accumulate(a, g * (cdf + x * pdf))
-
-    return _record(x * cdf, (a,), bwd, "gelu")
+    return _unary(a, x * cdf, lambda: cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI), "gelu")
 
 
 def softplus(a):
     x = a.data
-
-    def bwd(g):
-        _accumulate(a, g * _expit(x))
-
-    return _record(np.logaddexp(0.0, x), (a,), bwd, "softplus")
+    return _unary(a, np.logaddexp(0.0, x), lambda: _expit(x), "softplus")
 
 
 # ---------------------------------------------------------------------------
 # reductions and simple structure ops
 
 
-def mean(a):
-    n = a.data.size
+def mean(a, axis=None, keepdims=False):
+    """Mean over ``axis`` (an int, a tuple of ints, or None for all axes)."""
+    x = a.data
+    axes = range(x.ndim) if axis is None else [ax % x.ndim for ax in np.atleast_1d(axis).tolist()]
+    n = math.prod(x.shape[ax] for ax in axes)
+    kept = tuple(1 if ax in axes else size for ax, size in enumerate(x.shape))
 
     def bwd(g):
-        _accumulate(a, np.broadcast_to(g / n, a.data.shape))
+        _accumulate(a, np.broadcast_to(np.reshape(g, kept) / n, x.shape))
 
-    return _record(np.asarray(a.data.mean(), dtype=a.dtype), (a,), bwd, "mean")
+    return _record(np.asarray(x.mean(axis=axis, keepdims=keepdims), dtype=x.dtype), (a,), bwd, "mean")
 
 
 def sum_all(a):
@@ -338,28 +318,6 @@ def _tree_sum(arrays):
                 nxt.append(arrays[i])
         arrays = nxt
     return arrays[0]
-
-
-def mean_over_channels(a):
-    """Mean over axis 0, keepdim: (C, ...) -> (1, ...)."""
-    c = a.data.shape[0]
-
-    def bwd(g):
-        _accumulate(a, np.broadcast_to(g / c, a.data.shape))
-
-    return _record(a.data.mean(axis=0, keepdims=True), (a,), bwd, "mean_over_channels")
-
-
-def global_avg_pool(a):
-    """Spatial mean: (C, H, W) -> (C,)."""
-    if a.data.ndim != 3:
-        raise DimensionError(f"global_avg_pool expects (C, H, W), got {a.data.shape}")
-    n = a.data.shape[1] * a.data.shape[2]
-
-    def bwd(g):
-        _accumulate(a, np.broadcast_to(g[:, None, None] / n, a.data.shape))
-
-    return _record(a.data.mean(axis=(1, 2)), (a,), bwd, "global_avg_pool")
 
 
 def concat_channels(tensors):
@@ -392,14 +350,6 @@ def narrow_channels(a, start, length):
     return _record(a.data[start:start + length], (a,), bwd, "narrow_channels")
 
 
-def chunk2(a):
-    """Split axis 0 in half; width must be even."""
-    c = a.data.shape[0]
-    if c % 2 != 0:
-        raise ConfigError(f"chunk2 needs an even channel count, got {c}")
-    return narrow_channels(a, 0, c // 2), narrow_channels(a, c // 2, c // 2)
-
-
 def reshape(a, shape):
     shape = tuple(shape)
 
@@ -417,11 +367,6 @@ def transpose(a, axes):
         _accumulate(a, np.transpose(g, inv))
 
     return _record(np.transpose(a.data, axes), (a,), bwd, "transpose")
-
-
-def scale_by_channel(a, s):
-    """Scale (C, H, W) by a per-channel vector (C,)."""
-    return mul(a, reshape(s, (s.data.shape[0], 1, 1)))
 
 
 def nearest_upsample(a, factor):

@@ -26,43 +26,34 @@ class LossConfig:
     srgb_norm: str = "l1"
 
     def __post_init__(self):
-        if self.alpha_raw < 0 or self.beta_srgb < 0:
-            raise ConfigError("loss weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.alpha_raw, self.beta_srgb)):
+            raise ConfigError(f"loss weights must be finite and non-negative, got {self.alpha_raw}, {self.beta_srgb}")
         for norm in (self.raw_norm, self.srgb_norm):
             if norm not in ("l1", "l2"):
                 raise ConfigError(f"loss norm must be 'l1' or 'l2', got {norm!r}")
+
+
+# Share of the steps over which the learning rate follows a cosine from
+# lr_init down to lr_final; it then holds at lr_final.
+COSINE_HORIZON_FRAC = 0.8
 
 
 @dataclass
 class TrainConfig:
     lr_init: float = 1e-4
     lr_final: float = 1e-5
-    schedule: str = "cosine"
-    betas: tuple = (0.9, 0.999)
-    weight_decay: float = 0.0
     epochs: int = 250
     steps: int | None = None
     seed: int = 0
-    cosine_horizon_frac: float = 0.8
     augment: bool = True
-    dtype: str = "float32"
 
     def __post_init__(self):
+        if not (math.isfinite(self.lr_init) and math.isfinite(self.lr_final)):
+            raise ConfigError(f"learning rates must be finite, got {self.lr_init}, {self.lr_final}")
         if self.lr_final > self.lr_init:
             raise ConfigError(f"lr_final {self.lr_final} must not exceed lr_init {self.lr_init}")
-        if self.schedule not in ("cosine", "constant"):
-            raise ConfigError(f"schedule must be 'cosine' or 'constant', got {self.schedule!r}")
-        if not 0.0 < self.cosine_horizon_frac <= 1.0:
-            raise ConfigError("cosine_horizon_frac must be in (0, 1]")
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        self.betas = tuple(self.betas)
-        if len(self.betas) != 2 or not all(isinstance(b, (int, float)) and 0 <= b < 1 for b in self.betas):
-            raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
-
-    @property
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _norm_term(pred, target, kind):
@@ -140,13 +131,12 @@ class AdamW:
                 p.data = p.data - lr * update
 
 
-def evaluate(net: TwoStageNet, dataset: SyntheticDataset, dtype=None):
+def evaluate(net: TwoStageNet, dataset: SyntheticDataset):
     """Mean PSNR/SSIM of clipped RGB outputs against the clean targets,
     plus the packed raw-domain PSNR of the first-stage output."""
-    dtype = dtype or np.float32
     rows = []
     for sample in dataset.samples:
-        packed_in = pack(sample.raw).astype(dtype)
+        packed_in = pack(sample.raw).astype(np.float32)
         with no_grad():
             o1, o2 = net(Tensor(packed_in))
         rgb = np.clip(o2.data.astype(np.float64), 0.0, 1.0)
@@ -192,17 +182,13 @@ def train(
     """
     if not dataset.samples:
         raise ConfigError("dataset is empty")
-    dtype = train_cfg.np_dtype
+    dtype = np.float32
     net = TwoStageNet(net_cfg, seed=train_cfg.seed, dtype=dtype)
-    opt = AdamW(
-        net.named_params(),
-        betas=train_cfg.betas,
-        weight_decay=train_cfg.weight_decay,
-    )
+    opt = AdamW(net.named_params())
     total_steps = train_cfg.steps if train_cfg.steps is not None else train_cfg.epochs * len(dataset.samples)
     if total_steps < 1:
         raise ConfigError("training needs at least one step")
-    horizon = max(1, round(train_cfg.cosine_horizon_frac * total_steps))
+    horizon = max(1, round(COSINE_HORIZON_FRAC * total_steps))
 
     rng = np.random.default_rng(train_cfg.seed)
     packed_inputs = [pack(s.raw).astype(dtype) for s in dataset.samples]
@@ -223,11 +209,7 @@ def train(
                     x_np, gt_raw_np, gt_rgb_np, dataset.cfa, flip_h, flip_v
                 )
 
-        if train_cfg.schedule == "cosine":
-            lr = cosine_lr(step, total_steps, train_cfg.lr_init, train_cfg.lr_final, horizon)
-        else:
-            lr = train_cfg.lr_init
-
+        lr = cosine_lr(step, total_steps, train_cfg.lr_init, train_cfg.lr_final, horizon)
         o1, o2 = net(Tensor(np.asarray(x_np, dtype=dtype)))
         loss, parts = total_loss(
             o1,
@@ -260,15 +242,15 @@ def train(
             "loss": asdict(loss_cfg),
         }
         save_checkpoint(ckpt_path, net, echo, train_cfg.seed)
-        net, _ = network_from_checkpoint(ckpt_path, dtype=dtype)
-        metrics = evaluate(net, dataset, dtype=dtype)
+        net, _ = network_from_checkpoint(ckpt_path)
+        metrics = evaluate(net, dataset)
         _write_train_log(os.path.join(out_dir, "train_log.csv"), log)
         write_metrics_csv(
             os.path.join(out_dir, "metrics.csv"),
             [{"variant": "train", "psnr": metrics["psnr"], "ssim": metrics["ssim"], "wall_ms": wall_ms, "seed": train_cfg.seed}],
         )
     else:
-        metrics = evaluate(net, dataset, dtype=dtype)
+        metrics = evaluate(net, dataset)
 
     return TrainResult(
         net=net,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nightscan.cli import dispatch
+from nightscan.model import NetworkConfig, TwoStageNet, save_checkpoint
 from nightscan.rawio import read_ppm, read_raw_container
 
 
@@ -188,8 +189,16 @@ def test_train_on_malformed_dataset_index_is_one_json_error(capsys, tmp_path, in
         {"train": [["seed", 1]]},
         {"network": {"ca_reduction": 0}},
         {"network": {"base_width": 0}},
+        {"loss": {"alpha_raw": float("nan")}},
+        {"train": {"lr_init": float("nan")}},
+        {"network": {"state_dim": 0}},
+        {"network": {"blocks_per_level": 0}},
+        {"train": {"seed": -1}},
     ],
-    ids=["list", "network-list", "string-depth", "train-pairs", "zero-reduction", "zero-width"],
+    ids=[
+        "list", "network-list", "string-depth", "train-pairs", "zero-reduction", "zero-width",
+        "nan-alpha", "nan-lr", "zero-state", "zero-blocks", "negative-seed",
+    ],
 )
 def test_train_with_malformed_config_is_one_json_error(capsys, tmp_path, config):
     cfg_path = tmp_path / "config.json"
@@ -199,3 +208,18 @@ def test_train_with_malformed_config_is_one_json_error(capsys, tmp_path, config)
     )
     assert code == 1
     assert _one_json_error(err) == "ConfigError"
+
+
+def test_train_with_negative_seed_flag_is_one_json_error(capsys, tmp_path):
+    code, _, err = run(capsys, "train", "--data", str(tmp_path), "--out", str(tmp_path / "run"), "--seed", "-1")
+    assert code == 1
+    assert _one_json_error(err) == "ConfigError"
+
+
+def test_eval_with_malformed_network_echo_is_one_json_error(capsys, tmp_path):
+    path = tmp_path / "bad.ckpt"
+    net = TwoStageNet(NetworkConfig(base_width=4, depth=2, state_dim=2), seed=0)
+    save_checkpoint(path, net, {"network": []}, 0)
+    code, _, err = run(capsys, "eval", "--ckpt", str(path), "--data", str(tmp_path))
+    assert code == 1
+    assert _one_json_error(err) == "FormatError"

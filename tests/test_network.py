@@ -139,6 +139,11 @@ class TestAccounting:
         print(f"reference-scale params (depth 4, width 32, 2 blocks/level): {n / 1e6:.1f}M")
         assert n > 1_000_000
 
+    @pytest.mark.parametrize("field", ["state_dim", "blocks_per_level"])
+    def test_degenerate_sizes_rejected(self, field):
+        with pytest.raises(ConfigError):
+            NetworkConfig(**{field: 0})
+
     def test_config_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             dataclass_from_dict(NetworkConfig, {"widht": 3}, "network")
@@ -166,6 +171,16 @@ class TestCheckpoint:
         o1b, o2b = _forward(net2, x)
         np.testing.assert_array_equal(o1a.data, o1b.data)
         np.testing.assert_array_equal(o2a.data, o2b.data)
+
+    @pytest.mark.parametrize(
+        "echo", [{"network": []}, {"network": {"state_dim": 0}}, {"network": {"width": 8}}],
+        ids=["list", "zero-state", "unknown-key"],
+    )
+    def test_malformed_network_echo_is_format_error(self, tmp_path, echo):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, TwoStageNet(NetworkConfig(base_width=4, depth=2, state_dim=2), seed=0), echo, 0)
+        with pytest.raises(FormatError, match="network"):
+            network_from_checkpoint(path)
 
     def test_manifest_contents(self, tmp_path):
         cfg = NetworkConfig(base_width=8, depth=2, state_dim=4)
@@ -260,7 +275,6 @@ class TestTiledForward:
 
 def test_shape_caches_stay_bounded():
     caches = [
-        (scan.all_eight, scan.ORDER_CACHE_SHAPES),
         (scan.stacked_orders, scan.ORDER_CACHE_SHAPES),
         (T._col2im_indices, T.COL2IM_CACHE_ENTRIES),
     ]

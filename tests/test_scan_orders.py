@@ -7,6 +7,7 @@ from nightscan.scan import (
     DIRECTION_SUBSETS,
     DIRECTIONS,
     ScanDirection,
+    _diag_tlbr,
     all_eight,
     build_order,
     is_continuous,
@@ -91,6 +92,28 @@ def test_raster_negative_control():
     for h in range(1, 9):
         for w in (1, 2):
             assert is_continuous(raster_order(h, w))
+
+
+def _diag_tlbr_loop(h, w):
+    """The per-cell loop that scan._diag_tlbr's argsort replaced."""
+    out = []
+    for d in range(h + w - 1):
+        i_lo, i_hi = max(0, d - w + 1), min(d, h - 1)
+        rows = range(i_lo, i_hi + 1) if d % 2 == 0 else range(i_hi, i_lo - 1, -1)
+        out += [i * w + (d - i) for i in rows]
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [[(h, w) for h in range(1, 13) for w in range(1, 13)], [(128, 128), (12, 40), (40, 12), (1, 300), (97, 131)]],
+    ids=["all-up-to-12", "large"],
+)
+def test_diag_tlbr_matches_reference_loop(shapes):
+    for h, w in shapes:
+        got = _diag_tlbr(h, w)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _diag_tlbr_loop(h, w), err_msg=f"{h}x{w}")
 
 
 def test_stacked_orders_match_all_eight():

@@ -34,9 +34,40 @@ class TestDiscretize:
         phi = bbar.data / delta
         assert abs(phi[0] - phi[1]) < 1e-8
 
-    def test_nonpositive_delta_rejected(self):
+    def test_negative_delta_rejected(self):
         with pytest.raises(ContractError):
-            ssm.discretize(np.array(-1.0), np.array(1.0), np.array(0.0))
+            ssm.discretize(np.array(-1.0), np.array(1.0), np.array([0.5, -1e-30]))
+
+    @staticmethod
+    def _zero_delta_leaves(dtype):
+        rng = np.random.default_rng(3)
+        a = Tensor(-np.exp(rng.standard_normal((2, 1, 3))).astype(dtype), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 4, 3)).astype(dtype), requires_grad=True)
+        delta = Tensor(np.zeros((2, 4, 1), dtype=dtype), requires_grad=True)
+        return a, b, delta
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_delta_is_the_exact_limit(self, dtype):
+        # float32 softplus of a large negative pre-activation underflows to 0
+        assert T.softplus(Tensor(np.float32(-120.0))).item() == 0.0
+        abar, bbar = ssm.discretize(*self._zero_delta_leaves(dtype))
+        assert abar.dtype == dtype and bbar.dtype == dtype
+        assert np.all(abar.data == 1.0)
+        assert np.all(bbar.data == 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("output", [0, 1], ids=["abar", "bbar"])
+    def test_zero_delta_gradients_are_the_limits(self, dtype, output):
+        # d abar / d delta = a and d bbar / d delta = b at delta = 0; neither
+        # output depends on a or b there
+        a, b, delta = self._zero_delta_leaves(dtype)
+        g = np.random.default_rng(4).standard_normal((2, 4, 3)).astype(dtype)
+        out = ssm.discretize(a, b, delta)[output]
+        backward(T.sum_all(T.mul(out, Tensor(g))))
+        slope = np.broadcast_to(a.data if output == 0 else b.data, g.shape)
+        np.testing.assert_array_equal(delta.grad, (g * slope).sum(axis=-1, keepdims=True))
+        for leaf in (a, b):
+            assert leaf.grad is None or not leaf.grad.any()
 
     def test_range_contract_for_decay(self):
         rng = np.random.default_rng(0)

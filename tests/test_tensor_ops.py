@@ -211,18 +211,22 @@ class TestStructureOps:
         np.testing.assert_array_equal(T.narrow_channels(cat, 0, 2).data, a.data)
         np.testing.assert_array_equal(T.narrow_channels(cat, 2, 3).data, b.data)
 
-    def test_chunk2_requires_even_channels(self, rng):
-        with pytest.raises(ConfigError):
-            T.chunk2(Tensor(rng.standard_normal((3, 2, 2))))
-
     def test_mean_over_channels_keeps_spatial(self, rng):
         x = Tensor(rng.standard_normal((4, 2, 3)))
-        out = T.mean_over_channels(x)
+        out = T.mean(x, axis=0, keepdims=True)
         assert out.shape == (1, 2, 3)
         np.testing.assert_allclose(out.data[0], x.data.mean(axis=0))
 
 
 class TestNumericContract:
+    def test_gradient_of_wrong_shape_raises(self):
+        # a backward that hands back g.T has the right size but the wrong
+        # shape; it must not be reshaped into place
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        out = T._record(x.data * 2.0, (x,), lambda g: T._accumulate(x, g.T), "bad_op")
+        with pytest.raises(DimensionError):
+            backward(T.sum_all(out))
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_raises(self):
         with pytest.raises(NumericError):
