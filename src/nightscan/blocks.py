@@ -73,13 +73,14 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    def __init__(self, in_ch, out_ch, kernel, stride, *, rng, dtype):
-        self.stride = stride
+    """Upsample by ``kernel``: a transposed conv whose stride equals its kernel, with a bias."""
+
+    def __init__(self, in_ch, out_ch, kernel, *, rng, dtype):
         self.w = kaiming_uniform(rng, (in_ch, out_ch, kernel, kernel), in_ch * kernel * kernel, dtype)
         self.b = _param(np.zeros(out_ch), dtype)
 
     def __call__(self, x):
-        return T.conv_transpose2d(x, self.w, self.b, stride=self.stride, padding=0)
+        return T.conv_transpose2d(x, self.w, self.b)
 
 
 class ChannelNorm(Module):

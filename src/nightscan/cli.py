@@ -21,16 +21,11 @@ from .errors import ConfigError, NightscanError, NumericError
 from .gradcheck import run_gradcheck
 from .model import NetworkConfig, dataclass_from_dict, load_checkpoint, network_from_checkpoint, tiled_forward
 from .rawio import RawImage, pack, read_raw_container, unpack_mosaic, write_ppm, write_raw_container
-from .scan import ScanDirection, build_order
+from .scan import BASES, ScanDirection, build_order
 from .tensor import Tensor, no_grad
 from .train import LossConfig, TrainConfig, evaluate, train, write_metrics_csv
 
-DIRECTION_NAMES = {
-    "horizontal": "horizontal",
-    "vertical": "vertical",
-    "diag-tlbr": "diag_tlbr",
-    "diag-trbl": "diag_trbl",
-}
+DIRECTION_NAMES = {base.replace("_", "-"): base for base in BASES}
 
 
 def _announce(command, seed, config):
@@ -215,8 +210,15 @@ def cmd_inspect_ckpt(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError, so they too end as one JSON line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="nightscan", description=__doc__)
+    parser = _Parser(prog="nightscan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic low-light RAW dataset")
@@ -281,13 +283,11 @@ def build_parser():
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # --help has printed the usage
+        return 0
     except NumericError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2

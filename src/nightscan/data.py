@@ -155,14 +155,17 @@ def gen_synthetic(
     black_level=DEFAULT_BLACK,
     white_level=DEFAULT_WHITE,
 ) -> SyntheticDataset:
-    block = CFA_BLOCK[cfa] if cfa in CFA_BLOCK else None
-    if block is None:
-        raise ConfigError(f"unknown CFA {cfa!r}")
-    period = 2 if cfa == "RGGB" else 6
+    period = cfa_pattern(cfa).shape[0]
     if size % period:
         raise ConfigError(f"size must be divisible by the {cfa} pattern period {period}")
     if size < 8:
         raise ConfigError(f"size must be at least 8, got {size}")
+    if count < 1 or seed < 0:
+        raise ConfigError(f"count must be >= 1 and seed >= 0, got count {count}, seed {seed}")
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise ConfigError(f"ratio must be finite and positive, got {ratio}")
+    if not all(math.isfinite(v) and v >= 0 for v in (sigma_read, shot_scale)):
+        raise ConfigError(f"sigma_read and shot_scale must be finite and >= 0, got {sigma_read}, {shot_scale}")
 
     span = float(white_level - black_level)
     samples = []

@@ -91,7 +91,7 @@ class NetworkConfig:
 
 
 # what a JSON value may be for each config field annotation
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "tuple": (list, tuple)}
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
 
 def _fits(annotation, value):
@@ -151,9 +151,7 @@ class TwoStageNet(Module):
                 parts["fuse_dn"] = [fuse(w) for w in widths]
             parts["enc"] = [[block(w) for _ in range(cfg.blocks_per_level)] for w in widths]
             parts["down"] = [Conv2d(widths[i], widths[i + 1], 3, stride=2, rng=rng, dtype=dtype) for i in levels]
-            parts["up"] = [
-                ConvTranspose2d(widths[j + 1], widths[j], 2, stride=2, rng=rng, dtype=dtype) for j in levels
-            ]
+            parts["up"] = [ConvTranspose2d(widths[j + 1], widths[j], 2, rng=rng, dtype=dtype) for j in levels]
             parts["skip"] = [Conv2d(2 * widths[j], widths[j], 1, rng=rng, dtype=dtype) for j in levels]
             parts["dec"] = [[block(widths[j]) for _ in range(cfg.blocks_per_level)] for j in levels]
             parts["head"] = Conv2d(widths[0], head_ch, 3, rng=rng, dtype=dtype)
@@ -246,12 +244,12 @@ class TwoStageNet(Module):
     __call__ = forward
 
 
-def count_flops(config: NetworkConfig, input_shape, seed=0) -> int:
+def count_flops(config: NetworkConfig, input_shape) -> int:
     """Multiply-accumulate count of one forward pass (conv, matmul, scan ops)."""
     c, h, w = input_shape
     if c != config.in_channels:
         raise ConfigError(f"input shape {input_shape} incompatible with CFA {config.cfa}")
-    net = TwoStageNet(config, seed=seed, dtype=np.float64)
+    net = TwoStageNet(config, dtype=np.float64)
     x = Tensor(np.zeros((c, h, w)))
     with no_grad(), track_macs() as box:
         net(x)
@@ -273,14 +271,10 @@ def tiled_forward(net: TwoStageNet, packed: Tensor, tile: int, overlap: int = 4)
     if overlap >= tile:
         raise ConfigError("overlap must be smaller than tile")
     c, h, w = packed.shape
-    if h <= tile and w <= tile:
-        o1, o2 = net(packed)
-        return o1, o2
     s = cfg.pixel_scale
     acc1 = np.zeros((cfg.in_channels, h, w))
     acc2 = np.zeros((3, h * s, w * s))
-    cov1 = np.zeros((1, h, w))
-    cov2 = np.zeros((1, h * s, w * s))
+    cover = np.zeros((1, h, w))
     step = tile - overlap
     ys = sorted({min(y, max(h - tile, 0)) for y in range(0, h, step)})
     xs = sorted({min(x, max(w - tile, 0)) for x in range(0, w, step)})
@@ -290,10 +284,10 @@ def tiled_forward(net: TwoStageNet, packed: Tensor, tile: int, overlap: int = 4)
             sub = Tensor(packed.data[:, y0:y1, x0:x1])
             t1, t2 = net(sub)
             acc1[:, y0:y1, x0:x1] += t1.data
-            cov1[:, y0:y1, x0:x1] += 1.0
             acc2[:, y0 * s:y1 * s, x0 * s:x1 * s] += t2.data
-            cov2[:, y0 * s:y1 * s, x0 * s:x1 * s] += 1.0
-    return Tensor((acc1 / cov1).astype(t1.dtype)), Tensor((acc2 / cov2).astype(t2.dtype))
+            cover[:, y0:y1, x0:x1] += 1.0
+    cover2 = np.repeat(np.repeat(cover, s, axis=1), s, axis=2)
+    return Tensor((acc1 / cover).astype(t1.dtype)), Tensor((acc2 / cover2).astype(t2.dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -188,15 +188,7 @@ def backward(root):
 # elementwise arithmetic
 
 
-def _as_const(x, ref_dtype):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=ref_dtype))
-
-
 def add(a, b):
-    b = _as_const(b, a.dtype)
-
     def bwd(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
         _accumulate(b, _unbroadcast(g, b.data.shape))
@@ -205,8 +197,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    b = _as_const(b, a.dtype)
-
     def bwd(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
         _accumulate(b, _unbroadcast(-g, b.data.shape))
@@ -215,7 +205,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    b = _as_const(b, a.dtype)
     ad, bd = a.data, b.data
 
     def bwd(g):
@@ -305,19 +294,6 @@ def sum_all(a):
         _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return _record(np.asarray(a.data.sum(), dtype=a.dtype), (a,), bwd, "sum_all")
-
-
-def _tree_sum(arrays):
-    arrays = list(arrays)
-    while len(arrays) > 1:
-        nxt = []
-        for i in range(0, len(arrays), 2):
-            if i + 1 < len(arrays):
-                nxt.append(arrays[i] + arrays[i + 1])
-            else:
-                nxt.append(arrays[i])
-        arrays = nxt
-    return arrays[0]
 
 
 def concat_channels(tensors):
@@ -417,7 +393,7 @@ def matmul(a, b):
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(a, gamma, beta, eps=LAYER_NORM_EPS):
+def layer_norm(a, gamma, beta):
     """Normalize over the channel axis (axis 0) per spatial location."""
     x = a.data
     c = x.shape[0]
@@ -425,7 +401,7 @@ def layer_norm(a, gamma, beta, eps=LAYER_NORM_EPS):
         raise DimensionError("layer_norm affine params must be shaped (C,)")
     mu = x.mean(axis=0)
     var = x.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x - mu) * inv_std
     bshape = (c,) + (1,) * (x.ndim - 1)
     gam = gamma.data.reshape(bshape)
@@ -487,7 +463,7 @@ def _col2im(cols, shape, k, stride, pad):
     return acc.astype(cols.dtype, copy=False)
 
 
-def conv2d(x, w, b=None, stride=1, padding=0):
+def conv2d(x, w, b, stride=1, padding=0):
     """2-D cross-correlation (no kernel flip): (C_in, H, W) -> (C_out, H', W')."""
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise DimensionError(f"conv2d expects (C,H,W) and (Co,Ci,k,k), got {x.data.shape}, {w.data.shape}")
@@ -500,73 +476,68 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         raise ConfigError(f"conv2d stride must be 1 or 2, got {stride}")
     if ci != x.data.shape[0]:
         raise DimensionError(f"conv2d input channels {x.data.shape[0]} != weight {ci}")
-    if b is not None and b.data.shape != (co,):
+    if b.data.shape != (co,):
         raise DimensionError("conv2d bias must be shaped (C_out,)")
 
     k = kh
     cols, ho, wo = _im2col(x.data, k, stride, padding)
     wmat = w.data.reshape(co, ci * k * k)
-    out = wmat @ cols
-    if b is not None:
-        out = out + b.data[:, None]
-    out = out.reshape(co, ho, wo)
+    out = (wmat @ cols + b.data[:, None]).reshape(co, ho, wo)
     _add_macs(co * ci * k * k * ho * wo)
-
-    parents = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
         gm = g.reshape(co, ho * wo)
-        if b is not None:
-            _accumulate(b, g.sum(axis=(1, 2)))
+        _accumulate(b, g.sum(axis=(1, 2)))
         _accumulate(w, (gm @ cols.T).reshape(w.data.shape))
         if x.requires_grad:
             dcols = wmat.T @ gm
             _accumulate(x, _col2im(dcols, x.data.shape, k, stride, padding))
 
-    return _record(out, parents, bwd, "conv2d")
+    return _record(out, (x, w, b), bwd, "conv2d")
 
 
-def conv_transpose2d(x, w, b=None, stride=1, padding=0):
-    """Transposed conv: (C_in, H, W) with weight (C_in, C_out, k, k)."""
+def conv_transpose2d(x, w, b):
+    """Stride = kernel transposed conv, a non-overlapping upsampler:
+    (C_in, H, W) with weight (C_in, C_out, k, k) -> (C_out, H*k, W*k)."""
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise DimensionError(f"conv_transpose2d expects (C,H,W) and (Ci,Co,k,k), got {x.data.shape}, {w.data.shape}")
-    ci, co, kh, kw = w.data.shape
-    if kh != kw:
+    ci, co, k, kw = w.data.shape
+    if k != kw:
         raise ConfigError("conv_transpose2d kernels must be square")
     if ci != x.data.shape[0]:
         raise DimensionError(f"conv_transpose2d input channels {x.data.shape[0]} != weight {ci}")
-    k = kh
     h, w_in = x.data.shape[1], x.data.shape[2]
-    ho = (h - 1) * stride + k - 2 * padding
-    wo = (w_in - 1) * stride + k - 2 * padding
-    if ho < 1 or wo < 1:
-        raise DimensionError("conv_transpose2d output would be empty")
-
     xmat = x.data.reshape(ci, h * w_in)
     wmat = w.data.reshape(ci, co * k * k)
-    cols = wmat.T @ xmat
-    out = _col2im(cols, (co, ho, wo), k, stride, padding)
-    if b is not None:
-        out = out + b.data[:, None, None]
+    # column (c, i, j) of pixel (y, x) lands at output (c, y*k + i, x*k + j)
+    out = (wmat.T @ xmat).reshape(co, k, k, h, w_in).transpose(0, 3, 1, 4, 2).reshape(co, h * k, w_in * k)
     _add_macs(ci * co * k * k * h * w_in)
 
-    parents = (x, w) if b is None else (x, w, b)
-
     def bwd(g):
-        gcols, gho, gwo = _im2col(g, k, stride, padding)
-        if (gho, gwo) != (h, w_in):
-            raise DimensionError("conv_transpose2d backward geometry mismatch")
-        if b is not None:
-            _accumulate(b, g.sum(axis=(1, 2)))
+        gcols = g.reshape(co, h, k, w_in, k).transpose(0, 2, 4, 1, 3).reshape(co * k * k, h * w_in)
+        _accumulate(b, g.sum(axis=(1, 2)))
         _accumulate(w, (xmat @ gcols.T).reshape(w.data.shape))
         if x.requires_grad:
             _accumulate(x, (wmat @ gcols).reshape(x.data.shape))
 
-    return _record(out, parents, bwd, "conv_transpose2d")
+    return _record(out + b.data[:, None, None], (x, w, b), bwd, "conv_transpose2d")
 
 
 # ---------------------------------------------------------------------------
 # permutation ops (last-axis gathers used by the directional scans)
+
+
+def _expand(arr, orders):
+    """(C, L) -> (K, C, L): one copy of ``arr`` permuted by each row of ``orders``."""
+    return np.ascontiguousarray(arr[:, orders].transpose(1, 0, 2))
+
+
+def _merge(arr, inverses):
+    """(K, C, L) -> (C, L): un-permute each direction, then sum in a fixed pairwise tree."""
+    parts = [np.take(arr[i], inverses[i], axis=-1) for i in range(len(inverses))]
+    while len(parts) > 1:
+        parts = [parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i] for i in range(0, len(parts), 2)]
+    return parts[0]
 
 
 def multi_gather(a, orders, inverses):
@@ -575,13 +546,11 @@ def multi_gather(a, orders, inverses):
         raise DimensionError(f"multi_gather expects (C, L), got {a.data.shape}")
     if orders.shape[1] != a.data.shape[1]:
         raise DimensionError(f"order length {orders.shape[1]} != L={a.data.shape[1]}")
-    out = a.data[:, orders].transpose(1, 0, 2)
 
     def bwd(g):
-        parts = [np.take(g[i], inverses[i], axis=-1) for i in range(orders.shape[0])]
-        _accumulate(a, _tree_sum(parts))
+        _accumulate(a, _merge(g, inverses))
 
-    return _record(np.ascontiguousarray(out), (a,), bwd, "multi_gather")
+    return _record(_expand(a.data, orders), (a,), bwd, "multi_gather")
 
 
 def multi_scatter(a, orders, inverses):
@@ -590,10 +559,8 @@ def multi_scatter(a, orders, inverses):
         raise DimensionError(f"multi_scatter expects (K, C, L), got {a.data.shape}")
     if orders.shape[0] != a.data.shape[0] or orders.shape[1] != a.data.shape[2]:
         raise DimensionError(f"orders {orders.shape} incompatible with {a.data.shape}")
-    parts = [np.take(a.data[i], inverses[i], axis=-1) for i in range(orders.shape[0])]
 
     def bwd(g):
-        stacked = np.stack([np.take(g, orders[i], axis=-1) for i in range(orders.shape[0])])
-        _accumulate(a, stacked)
+        _accumulate(a, _expand(g, orders))
 
-    return _record(_tree_sum(parts), (a,), bwd, "multi_scatter")
+    return _record(_merge(a.data, inverses), (a,), bwd, "multi_scatter")

@@ -95,20 +95,16 @@ def cosine_lr(step, total_steps, lr_init, lr_final, horizon=None):
 
 
 class AdamW:
-    """Adam with decoupled weight decay.  Aborts on non-finite gradients."""
+    """Adam with betas (0.9, 0.999), eps 1e-8 and no weight decay.  Aborts on
+    non-finite gradients; parameters without a gradient are skipped."""
 
-    def __init__(self, named_params, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params):
         self.named = list(named_params)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for _, p in self.named]
         self._v = [np.zeros_like(p.data) for _, p in self.named]
-
-    def zero_grad(self):
-        for _, p in self.named:
-            p.grad = None
 
     def step(self, lr):
         self.t += 1
@@ -125,10 +121,7 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                p.data = p.data - lr * self.weight_decay * p.data - lr * update
-            else:
-                p.data = p.data - lr * update
+            p.data = p.data - lr * update
 
 
 def evaluate(net: TwoStageNet, dataset: SyntheticDataset):
@@ -218,7 +211,7 @@ def train(
             Tensor(np.asarray(gt_rgb_np, dtype=dtype)),
             loss_cfg,
         )
-        opt.zero_grad()
+        net.zero_grad()
         backward(loss)
         opt.step(lr)
         log.append(

@@ -161,6 +161,18 @@ def test_gen_data_announce_and_baseline(capsys, tmp_path):
     assert np.isfinite(summary["baseline_psnr"])
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--sigma-read", "nan"], ["--count", "0"], ["--seed", "-3"], ["--ratio", "0"]],
+    ids=["nan-sigma", "zero-count", "negative-seed", "zero-ratio"],
+)
+def test_gen_data_with_unusable_settings_is_one_json_error(capsys, tmp_path, flags):
+    code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--size", "8", *flags)
+    assert code == 1
+    assert _one_json_error(err) == "ConfigError"
+    assert not (tmp_path / "d").exists()
+
+
 def test_eval_missing_dataset_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--ckpt", str(tmp_path / "x.ckpt"), "--data", str(tmp_path))
     assert code == 1

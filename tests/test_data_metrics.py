@@ -142,6 +142,27 @@ class TestGenSynthetic:
         with pytest.raises(ConfigError):
             gen_synthetic(count=1, size=15, seed=0, cfa="XTRANS")
 
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"count": 0},
+            {"seed": -3},
+            {"ratio": 0.0},
+            {"ratio": math.nan},
+            {"ratio": math.inf},
+            {"sigma_read": math.nan},
+            {"sigma_read": -0.01},
+            {"shot_scale": math.inf},
+            {"shot_scale": -1.0},
+            {"cfa": "GRBG"},
+        ],
+        ids=["count", "seed", "zero-ratio", "nan-ratio", "inf-ratio", "nan-sigma", "negative-sigma",
+             "inf-shot", "negative-shot", "cfa"],
+    )
+    def test_unusable_settings_rejected(self, over):
+        with pytest.raises(ConfigError):
+            gen_synthetic(**{"count": 1, "size": 8, "seed": 0, **over})
+
 
 class TestFlips:
     @pytest.mark.parametrize("flip_h,flip_v", [(True, False), (False, True), (True, True)])

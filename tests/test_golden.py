@@ -12,6 +12,8 @@ import os
 
 import pytest
 
+from nightscan.model import NetworkConfig, count_flops
+
 _RECORDER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "record.py")
 
 
@@ -54,3 +56,26 @@ def test_training_log_and_checkpoint_match_golden(golden, current):
 
 def test_rraw_bytes_match_golden(golden, current):
     assert current["rraw"] == golden["rraw"]
+
+
+# count_flops of each golden config at packed 16, measured before the
+# transposed conv became a plain upsampler; holds every op's MAC accounting
+GOLDEN_MACS = {
+    "default": 10920736,
+    "xtrans": 11494176,
+    "no_retinex": 8033760,
+    "decoding": 10920736,
+    "concat1x1": 7969600,
+    "depth2_blocks2": 11414368,
+    "dirs4": 9501472,
+}
+
+
+@pytest.mark.parametrize("name", sorted(record.CONFIGS))
+def test_macs_match_golden(name):
+    cfg = NetworkConfig(**record.CONFIGS[name])
+    assert count_flops(cfg, (cfg.in_channels, record.PACKED_SIZE, record.PACKED_SIZE)) == GOLDEN_MACS[name]
+
+
+def test_default_macs_at_packed_128():
+    assert count_flops(NetworkConfig(), (4, 128, 128)) == 698747680

@@ -67,7 +67,7 @@ class TestConv2d:
     def test_identity_1x1_kernel(self, rng):
         x = Tensor(rng.standard_normal((3, 5, 5)))
         w = Tensor(np.eye(3).reshape(3, 3, 1, 1))
-        out = T.conv2d(x, w, None, stride=1, padding=0)
+        out = T.conv2d(x, w, Tensor(np.zeros(3)), stride=1, padding=0)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_weight_gradient_matches_finite_differences(self, rng):
@@ -96,7 +96,7 @@ class TestConv2d:
     def test_stride2_output_size(self, rng):
         x = Tensor(rng.standard_normal((2, 8, 8)))
         w = Tensor(rng.standard_normal((4, 2, 3, 3)))
-        out = T.conv2d(x, w, None, stride=2, padding=1)
+        out = T.conv2d(x, w, Tensor(np.zeros(4)), stride=2, padding=1)
         assert out.shape == (4, 4, 4)
 
     def test_even_kernel_rejected(self, rng):
@@ -114,7 +114,7 @@ class TestConv2d:
     def test_transposed_conv_inverts_downsample_shape(self, rng):
         x = Tensor(rng.standard_normal((3, 4, 4)))
         w = Tensor(rng.standard_normal((3, 2, 2, 2)))
-        out = T.conv_transpose2d(x, w, None, stride=2, padding=0)
+        out = T.conv_transpose2d(x, w, Tensor(np.zeros(2)))
         assert out.shape == (2, 8, 8)
 
 
@@ -246,7 +246,7 @@ class TestDeterminism:
         w = Tensor(rng.standard_normal((3, 3, 3, 3)), requires_grad=True)
         g = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)
-        out = T.layer_norm(T.gelu(T.conv2d(x, w, None, padding=1)), g, b)
+        out = T.layer_norm(T.gelu(T.conv2d(x, w, Tensor(np.zeros(3)), padding=1)), g, b)
         loss = T.mean(T.mul(out, out))
         backward(loss)
         return loss.item(), x.grad.copy(), w.grad.copy()
