@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation/config/format problems, 2 numeric
 contract violations (NaN/Inf).  Errors go to stderr as one JSON line.
-Every run first prints the resolved configuration and seed to stdout.
+Every run first prints the resolved configuration and seed to stdout; the
+seed is null for commands that draw no random numbers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .ablate import AXES, run_ablation
 from .data import gen_synthetic, load_dataset, write_dataset
 from .errors import ConfigError, NightscanError, NumericError
-from .gradcheck import run_gradcheck
+from .gradcheck import EPS, TOL, run_gradcheck
 from .model import NetworkConfig, dataclass_from_dict, load_checkpoint, network_from_checkpoint, tiled_forward
 from .rawio import RawImage, pack, read_raw_container, unpack_mosaic, write_ppm, write_raw_container
 from .scan import BASES, ScanDirection, build_order
@@ -32,20 +33,16 @@ def _announce(command, seed, config):
     print(json.dumps({"command": command, "seed": seed, "config": config}))
 
 
-def _load_config_file(path):
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _resolve_configs(args):
-    raw = _load_config_file(getattr(args, "config", None))
+    raw = {}
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"config file must hold a JSON object, got {type(raw).__name__}")
     net_cfg = dataclass_from_dict(NetworkConfig, raw.get("network", {}), "network")
     train_cfg = dataclass_from_dict(TrainConfig, raw.get("train", {}), "train")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
     loss_cfg = dataclass_from_dict(LossConfig, raw.get("loss", {}), "loss")
     return net_cfg, train_cfg, loss_cfg
@@ -92,7 +89,7 @@ def cmd_train(args):
         "psnr": result.metrics["psnr"],
         "ssim": result.metrics["ssim"],
         "raw_psnr": result.metrics["raw_psnr"],
-        "baseline_psnr": result.baseline_psnr,
+        "baseline_psnr": dataset.baseline_psnr,
         "wall_ms": result.wall_ms,
         "checkpoint": result.ckpt_path,
     }
@@ -101,7 +98,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    _announce("eval", args.seed, {"ckpt": args.ckpt, "data": args.data, "out": args.out})
+    _announce("eval", None, {"ckpt": args.ckpt, "data": args.data, "out": args.out})
     net, header = network_from_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
     metrics = evaluate(net, dataset)
@@ -116,14 +113,14 @@ def cmd_eval(args):
 
 
 def cmd_infer(args):
-    _announce("infer", args.seed, {"ckpt": args.ckpt, "input": args.input, "out": args.out, "tile": args.tile})
+    _announce("infer", None, {"ckpt": args.ckpt, "input": args.input, "out": args.out, "tile": args.tile})
     if not os.path.exists(args.input):
         raise FileNotFoundError(f"input RAW container not found: {args.input}")
     net, _ = network_from_checkpoint(args.ckpt)
     raw = read_raw_container(args.input)
     packed = Tensor(pack(raw).astype(np.float32))
     with no_grad():
-        if args.tile:
+        if args.tile is not None:
             o1, o2 = tiled_forward(net, packed, tile=args.tile)
         else:
             o1, o2 = net(packed)
@@ -155,7 +152,7 @@ def cmd_dump_scan(args):
     direction = ScanDirection(DIRECTION_NAMES[args.direction], reversed=args.reversed)
     _announce(
         "dump-scan",
-        args.seed,
+        None,
         {"height": args.height, "width": args.width, "direction": direction.name},
     )
     order = build_order(direction, args.height, args.width)
@@ -172,8 +169,8 @@ def cmd_dump_scan(args):
 
 
 def cmd_gradcheck(args):
-    _announce("gradcheck", args.seed, {"eps": args.eps, "tol": args.tol})
-    rows, ok = run_gradcheck(eps=args.eps, tol=args.tol, seed=args.seed)
+    _announce("gradcheck", args.seed, {"eps": EPS, "tol": TOL})
+    rows, ok = run_gradcheck(seed=args.seed)
     width = max(len(r["op"]) for r in rows)
     for r in rows:
         status = "ok" if r["pass"] else "FAIL"
@@ -193,7 +190,7 @@ def cmd_ablate(args):
 
 
 def cmd_inspect_ckpt(args):
-    _announce("inspect-ckpt", args.seed, {"ckpt": args.ckpt})
+    _announce("inspect-ckpt", None, {"ckpt": args.ckpt})
     header, tensors = load_checkpoint(args.ckpt)
     total = sum(e["length"] for e in header["tensors"])
     print(
@@ -242,7 +239,6 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="enhance one RAW container")
@@ -250,7 +246,6 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tile", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("dump-scan", help="emit one scan order as CSV k,row,col")
@@ -259,12 +254,9 @@ def build_parser():
     p.add_argument("--direction", choices=sorted(DIRECTION_NAMES), required=True)
     p.add_argument("--reversed", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_dump_scan)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all ops and blocks")
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -276,7 +268,6 @@ def build_parser():
 
     p = sub.add_parser("inspect-ckpt", help="print a checkpoint manifest summary")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_inspect_ckpt)
 
     return parser

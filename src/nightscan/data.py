@@ -8,14 +8,14 @@ noise, and quantizing to u16 sensor counts.
 
 Noise is parameterized output-referred: after exposure scaling the read
 noise floor has standard deviation ``sigma_read`` and the shot term has
-variance ``(shot_scale * sigma_read)^2 * signal``.  In the dark (stored)
+variance ``(SHOT_SCALE * sigma_read)^2 * signal``.  In the dark (stored)
 domain the variance is therefore
 
-    (sigma_read / ratio)^2 + (shot_scale * sigma_read)^2 * dark / ratio.
+    (sigma_read / ratio)^2 + (SHOT_SCALE * sigma_read)^2 * dark / ratio.
 
-Default levels are black=512, white=16322; the span 15810 = 62 * 255 makes
-u16 quantization exact for 8-bit clean values, so a sigma=0, ratio=1 frame
-packs back to the ground-truth mosaic bit for bit.
+The sensor levels are fixed at black=512, white=16322; the span
+15810 = 62 * 255 makes u16 quantization exact for 8-bit clean values, so a
+sigma=0, ratio=1 frame packs back to the ground-truth mosaic bit for bit.
 
 On disk a dataset is one RAW container plus one PPM ground truth per
 sample and an index.json carrying the generation parameters and the mean
@@ -44,8 +44,9 @@ from .rawio import (
     write_raw_container,
 )
 
-DEFAULT_BLACK = 512
-DEFAULT_WHITE = 16322  # black + 62 * 255
+BLACK_LEVEL = 512
+WHITE_LEVEL = 16322  # black + 62 * 255
+SHOT_SCALE = 8.0
 
 # color index per CFA site: 0=R, 1=G, 2=B
 BAYER_PATTERN = np.array([[0, 1], [1, 2]], dtype=np.int64)
@@ -144,17 +145,7 @@ def _draw_clean_rgb(rng, size):
     return np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
 
 
-def gen_synthetic(
-    count,
-    size,
-    seed,
-    cfa="RGGB",
-    ratio=100.0,
-    sigma_read=0.02,
-    shot_scale=8.0,
-    black_level=DEFAULT_BLACK,
-    white_level=DEFAULT_WHITE,
-) -> SyntheticDataset:
+def gen_synthetic(count, size, seed, cfa="RGGB", ratio=100.0, sigma_read=0.02) -> SyntheticDataset:
     period = cfa_pattern(cfa).shape[0]
     if size % period:
         raise ConfigError(f"size must be divisible by the {cfa} pattern period {period}")
@@ -164,10 +155,10 @@ def gen_synthetic(
         raise ConfigError(f"count must be >= 1 and seed >= 0, got count {count}, seed {seed}")
     if not (math.isfinite(ratio) and ratio > 0):
         raise ConfigError(f"ratio must be finite and positive, got {ratio}")
-    if not all(math.isfinite(v) and v >= 0 for v in (sigma_read, shot_scale)):
-        raise ConfigError(f"sigma_read and shot_scale must be finite and >= 0, got {sigma_read}, {shot_scale}")
+    if not (math.isfinite(sigma_read) and sigma_read >= 0):
+        raise ConfigError(f"sigma_read must be finite and >= 0, got {sigma_read}")
 
-    span = float(white_level - black_level)
+    span = float(WHITE_LEVEL - BLACK_LEVEL)
     samples = []
     baseline = []
     for i in range(count):
@@ -177,15 +168,15 @@ def gen_synthetic(
         clean_packed = pack_mosaic(clean_mosaic, cfa)
 
         dark = clean_mosaic / ratio
-        var = (sigma_read / ratio) ** 2 + (shot_scale * sigma_read) ** 2 * dark / ratio
+        var = (sigma_read / ratio) ** 2 + (SHOT_SCALE * sigma_read) ** 2 * dark / ratio
         noisy = dark + rng.standard_normal(dark.shape) * np.sqrt(var)
-        counts = np.clip(np.round(black_level + noisy * span), 0, white_level).astype(np.uint16)
+        counts = np.clip(np.round(BLACK_LEVEL + noisy * span), 0, WHITE_LEVEL).astype(np.uint16)
         raw = RawImage(
             width=size,
             height=size,
             cfa=cfa,
-            black_level=black_level,
-            white_level=white_level,
+            black_level=BLACK_LEVEL,
+            white_level=WHITE_LEVEL,
             exposure_ratio=float(ratio),
             plane=counts,
         )
@@ -199,9 +190,9 @@ def gen_synthetic(
         seed=int(seed),
         ratio=float(ratio),
         sigma_read=float(sigma_read),
-        shot_scale=float(shot_scale),
-        black_level=int(black_level),
-        white_level=int(white_level),
+        shot_scale=SHOT_SCALE,
+        black_level=BLACK_LEVEL,
+        white_level=WHITE_LEVEL,
         baseline_psnr=float(np.mean(baseline)),
     )
 
@@ -268,7 +259,7 @@ def load_dataset(data_dir) -> SyntheticDataset:
     return SyntheticDataset(samples=samples, cfa=cfa, **meta)
 
 
-def flip_arrays(packed_in, clean_packed, clean_rgb, cfa, flip_h, flip_v):
+def flip_arrays(packed_in, clean_packed, clean_rgb, flip_h, flip_v):
     """Horizontal/vertical flip augmentation on packed planes and targets.
 
     Channels flip spatially in place, keeping their color identity; input

@@ -3,7 +3,8 @@
 Each case builds a scalar objective over a set of leaf tensors, runs one
 analytic backward, then compares sampled gradient entries against central
 differences.  Relative error uses max(1, |fd|, |analytic|) in the
-denominator.  All cases run in double precision.
+denominator.  All cases run in double precision, with step ``EPS`` on
+``SAMPLES`` entries per leaf, and pass at a relative error of ``TOL``.
 """
 
 from __future__ import annotations
@@ -12,11 +13,16 @@ import numpy as np
 
 from . import blocks, ssm
 from . import tensor as T
+from .errors import ConfigError
 from .model import NetworkConfig, TwoStageNet
 from .tensor import Tensor, backward, no_grad
 
+EPS = 1e-5
+TOL = 1e-3
+SAMPLES = 3
 
-def fd_check(build, rng, eps=1e-4, samples=3):
+
+def fd_check(build, rng):
     """Max relative error between analytic and central-difference gradients.
 
     ``build(rng)`` returns (fn, leaves) where ``fn`` rebuilds the scalar
@@ -31,17 +37,17 @@ def fd_check(build, rng, eps=1e-4, samples=3):
     for p in leaves.values():
         flat = p.data.reshape(-1)
         grad = np.zeros_like(flat) if p.grad is None else p.grad.reshape(-1)
-        k = min(samples, flat.size)
+        k = min(SAMPLES, flat.size)
         idxs = rng.choice(flat.size, size=k, replace=False)
         for i in idxs:
             orig = flat[i]
             with no_grad():
-                flat[i] = orig + eps
+                flat[i] = orig + EPS
                 fp = fn().item()
-                flat[i] = orig - eps
+                flat[i] = orig - EPS
                 fm = fn().item()
                 flat[i] = orig
-            fd = (fp - fm) / (2.0 * eps)
+            fd = (fp - fm) / (2.0 * EPS)
             an = float(grad[i])
             rel = abs(fd - an) / max(1.0, abs(fd), abs(an))
             worst = max(worst, rel)
@@ -62,9 +68,6 @@ def _mean_sq(t):
 def primitive_cases():
     """(name, builder) pairs covering every primitive on small random shapes."""
 
-    def case(name, make):
-        return name, make
-
     def unary(op, shape=(3, 4), min_abs=0.0):
         def make(rng):
             x = _leaf(rng, shape, min_abs)
@@ -80,25 +83,25 @@ def primitive_cases():
         return make
 
     cases = [
-        case("add", binary(T.add, (3, 4), (1, 4))),
-        case("sub", binary(T.sub, (3, 4), (3, 1))),
-        case("mul", binary(T.mul, (3, 4), (4,))),
-        case("neg", unary(T.neg)),
-        case("scale", unary(lambda x: T.scale(x, 2.5))),
-        case("exp", unary(T.exp)),
-        case("absolute", unary(T.absolute, min_abs=0.05)),
-        case("sigmoid", unary(T.sigmoid)),
-        case("silu", unary(T.silu)),
-        case("gelu", unary(T.gelu)),
-        case("softplus", unary(T.softplus)),
-        case("mean", unary(T.mean)),
-        case("sum_all", unary(T.sum_all)),
-        case("mean_axis0_keepdims", unary(lambda x: T.mean(x, axis=0, keepdims=True), shape=(4, 3, 3))),
-        case("mean_spatial", unary(lambda x: T.mean(x, axis=(1, 2)), shape=(4, 3, 3))),
-        case("reshape", unary(lambda x: T.reshape(x, (4, 3)))),
-        case("transpose", unary(lambda x: T.transpose(x, (1, 0)))),
-        case("pixel_shuffle", unary(lambda x: T.pixel_shuffle(x, 2), shape=(8, 2, 2))),
-        case("narrow_channels", unary(lambda x: T.narrow_channels(x, 1, 2), shape=(4, 3))),
+        ("add", binary(T.add, (3, 4), (1, 4))),
+        ("sub", binary(T.sub, (3, 4), (3, 1))),
+        ("mul", binary(T.mul, (3, 4), (4,))),
+        ("neg", unary(T.neg)),
+        ("scale", unary(lambda x: T.scale(x, 2.5))),
+        ("exp", unary(T.exp)),
+        ("absolute", unary(T.absolute, min_abs=0.05)),
+        ("sigmoid", unary(T.sigmoid)),
+        ("silu", unary(T.silu)),
+        ("gelu", unary(T.gelu)),
+        ("softplus", unary(T.softplus)),
+        ("mean", unary(T.mean)),
+        ("sum_all", unary(T.sum_all)),
+        ("mean_axis0_keepdims", unary(lambda x: T.mean(x, axis=0, keepdims=True), shape=(4, 3, 3))),
+        ("mean_spatial", unary(lambda x: T.mean(x, axis=(1, 2)), shape=(4, 3, 3))),
+        ("reshape", unary(lambda x: T.reshape(x, (4, 3)))),
+        ("transpose", unary(lambda x: T.transpose(x, (1, 0)))),
+        ("pixel_shuffle", unary(lambda x: T.pixel_shuffle(x, 2), shape=(8, 2, 2))),
+        ("narrow_channels", unary(lambda x: T.narrow_channels(x, 1, 2), shape=(4, 3))),
     ]
 
     def concat_case(rng):
@@ -167,16 +170,16 @@ def primitive_cases():
         return fn, {"x": x, "abar": abar, "bbar": bbar, "c": cs, "d": d}
 
     cases += [
-        case("concat_channels", concat_case),
-        case("matmul", matmul_case),
-        case("layer_norm", layer_norm_case),
-        case("conv2d_s1", conv_case(1)),
-        case("conv2d_s2", conv_case(2)),
-        case("conv_transpose2d", conv_transpose_case),
-        case("multi_gather", multi_gather_case),
-        case("multi_scatter", multi_scatter_case),
-        case("discretize", discretize_case),
-        case("selective_scan", selective_scan_case),
+        ("concat_channels", concat_case),
+        ("matmul", matmul_case),
+        ("layer_norm", layer_norm_case),
+        ("conv2d_s1", conv_case(1)),
+        ("conv2d_s2", conv_case(2)),
+        ("conv_transpose2d", conv_transpose_case),
+        ("multi_gather", multi_gather_case),
+        ("multi_scatter", multi_scatter_case),
+        ("discretize", discretize_case),
+        ("selective_scan", selective_scan_case),
     ]
     return cases
 
@@ -235,14 +238,16 @@ def block_cases():
     return cases
 
 
-def run_gradcheck(eps=1e-5, tol=1e-3, seed=0, samples=3):
+def run_gradcheck(seed=0):
     """Run every case; returns (rows, all_passed)."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rows = []
     ok = True
     for name, build in primitive_cases() + block_cases():
         rng = np.random.default_rng(seed)
-        err = fd_check(build, rng, eps=eps, samples=samples)
-        passed = err <= tol
+        err = fd_check(build, rng)
+        passed = err <= TOL
         ok = ok and passed
         rows.append({"op": name, "max_rel_err": err, "pass": passed})
     return rows, ok

@@ -256,26 +256,32 @@ def count_flops(config: NetworkConfig, input_shape) -> int:
     return box["macs"]
 
 
-def tiled_forward(net: TwoStageNet, packed: Tensor, tile: int, overlap: int = 4):
+# packed-grid pixels that neighbouring tiles of tiled_forward share
+TILE_OVERLAP = 4
+
+
+def tiled_forward(net: TwoStageNet, packed: Tensor, tile: int):
     """Run oversized inputs tile by tile, averaging overlapped regions.
 
-    ``tile`` and ``overlap`` are in packed-grid pixels and must be divisible
-    by the depth alignment.  Plain overlap averaging; no feathering.  The
-    overlaps are summed in float64 and the result comes back in the net's
-    dtype.
+    ``tile`` is in packed-grid pixels: a multiple of the depth alignment,
+    larger than ``TILE_OVERLAP``.  Plain overlap averaging; no feathering.
+    The overlaps are summed in float64 and the result comes back in the
+    net's dtype.
     """
     cfg = net.config
     div = 1 << (cfg.depth - 1)
-    if tile % div or overlap % div:
-        raise ConfigError(f"tile and overlap must be divisible by {div}")
-    if overlap >= tile:
-        raise ConfigError("overlap must be smaller than tile")
+    if tile % div or tile <= TILE_OVERLAP:
+        smallest = (TILE_OVERLAP // div + 1) * div
+        raise ConfigError(
+            f"tile {tile} cannot tile: it must be a multiple of {div} larger than the "
+            f"{TILE_OVERLAP}-pixel overlap, the smallest usable tile is {smallest}"
+        )
     c, h, w = packed.shape
     s = cfg.pixel_scale
     acc1 = np.zeros((cfg.in_channels, h, w))
     acc2 = np.zeros((3, h * s, w * s))
     cover = np.zeros((1, h, w))
-    step = tile - overlap
+    step = tile - TILE_OVERLAP
     ys = sorted({min(y, max(h - tile, 0)) for y in range(0, h, step)})
     xs = sorted({min(x, max(w - tile, 0)) for x in range(0, w, step)})
     for y0 in ys:
@@ -350,7 +356,7 @@ def load_checkpoint(path):
     return header, tensors
 
 
-def network_from_checkpoint(path, dtype=np.float32):
+def network_from_checkpoint(path):
     header, tensors = load_checkpoint(path)
     try:
         net_cfg = dataclass_from_dict(NetworkConfig, header["config"]["network"], "network")
@@ -358,7 +364,7 @@ def network_from_checkpoint(path, dtype=np.float32):
         raise FormatError("checkpoint config echo is missing the network section") from exc
     except ConfigError as exc:
         raise FormatError(f"checkpoint config echo is not a valid network config: {exc}") from exc
-    net = TwoStageNet(net_cfg, seed=int(header["seed"]), dtype=dtype)
+    net = TwoStageNet(net_cfg, seed=int(header["seed"]))
     names = [name for name, _ in net.named_params()]
     if set(names) != set(tensors):
         missing = sorted(set(names) - set(tensors))
@@ -368,7 +374,7 @@ def network_from_checkpoint(path, dtype=np.float32):
         arr = tensors[name]
         if tuple(arr.shape) != p.data.shape:
             raise FormatError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-        p.data = arr.astype(dtype)
+        p.data = arr.astype(np.float32)
     return net, header
 
 

@@ -37,12 +37,14 @@ class LossConfig:
 # lr_init down to lr_final; it then holds at lr_final.
 COSINE_HORIZON_FRAC = 0.8
 
+# Passes over the dataset when a config gives no ``steps``.
+EPOCHS = 250
+
 
 @dataclass
 class TrainConfig:
     lr_init: float = 1e-4
     lr_final: float = 1e-5
-    epochs: int = 250
     steps: int | None = None
     seed: int = 0
     augment: bool = True
@@ -145,7 +147,6 @@ def evaluate(net: TwoStageNet, dataset: SyntheticDataset):
         "psnr": float(np.mean([r["psnr"] for r in rows])),
         "ssim": float(np.mean([r["ssim"] for r in rows])),
         "raw_psnr": float(np.mean([r["raw_psnr"] for r in rows])),
-        "per_sample": rows,
     }
 
 
@@ -154,7 +155,6 @@ class TrainResult:
     net: TwoStageNet
     log: list
     metrics: dict
-    baseline_psnr: float
     wall_ms: float
     ckpt_path: str | None
 
@@ -178,7 +178,7 @@ def train(
     dtype = np.float32
     net = TwoStageNet(net_cfg, seed=train_cfg.seed, dtype=dtype)
     opt = AdamW(net.named_params())
-    total_steps = train_cfg.steps if train_cfg.steps is not None else train_cfg.epochs * len(dataset.samples)
+    total_steps = train_cfg.steps if train_cfg.steps is not None else EPOCHS * len(dataset.samples)
     if total_steps < 1:
         raise ConfigError("training needs at least one step")
     horizon = max(1, round(COSINE_HORIZON_FRAC * total_steps))
@@ -198,9 +198,7 @@ def train(
             flip_h = bool(rng.random() < 0.5)
             flip_v = bool(rng.random() < 0.5)
             if flip_h or flip_v:
-                x_np, gt_raw_np, gt_rgb_np = flip_arrays(
-                    x_np, gt_raw_np, gt_rgb_np, dataset.cfa, flip_h, flip_v
-                )
+                x_np, gt_raw_np, gt_rgb_np = flip_arrays(x_np, gt_raw_np, gt_rgb_np, flip_h, flip_v)
 
         lr = cosine_lr(step, total_steps, train_cfg.lr_init, train_cfg.lr_final, horizon)
         o1, o2 = net(Tensor(np.asarray(x_np, dtype=dtype)))
@@ -249,7 +247,6 @@ def train(
         net=net,
         log=log,
         metrics=metrics,
-        baseline_psnr=dataset.baseline_psnr,
         wall_ms=wall_ms,
         ckpt_path=ckpt_path,
     )

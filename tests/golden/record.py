@@ -2,9 +2,11 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/record.py
+    PYTHONPATH=src python tests/golden/record.py [--force]
 
-It writes ``tests/golden/golden.json`` beside this script.  For each config
+It writes ``tests/golden/golden.json`` beside this script.  When that file
+exists, it prints which top-level entries the current code changes and
+refuses to overwrite it unless given ``--force``.  For each config
 in ``CONFIGS`` it stores the parameter names, shapes and order, the sha256
 of both outputs of one forward (plain and with ``skip_enhance=True``) on a
 fixed float32 16x16 packed input, and the sha256 of every parameter
@@ -17,6 +19,7 @@ change is meant to alter bits.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -112,8 +115,25 @@ def compute():
         }
 
 
-def main():
+def _differing(record):
+    """Top-level entries of ``record`` that differ from the golden file."""
+    with open(GOLDEN_PATH, "r", encoding="utf-8") as fh:
+        old = json.load(fh)
+    new = json.loads(json.dumps(record))
+    return sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Record the bit-level golden file.")
+    parser.add_argument("--force", action="store_true", help="overwrite an existing golden file")
+    args = parser.parse_args(argv)
     record = compute()
+    if os.path.exists(GOLDEN_PATH):
+        differ = _differing(record)
+        print(f"entries that differ from {GOLDEN_PATH}: {', '.join(differ) or 'none'}")
+        if not args.force:
+            print("refusing to overwrite it; pass --force to re-record", file=sys.stderr)
+            return 1
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -87,7 +87,7 @@ def test_criterion_2_ssm_oracle():
 
 def test_criterion_3_gradient_suite():
     start = time.perf_counter()
-    rows, all_pass = run_gradcheck(tol=1e-3)
+    rows, all_pass = run_gradcheck()
     elapsed = time.perf_counter() - start
     worst = max(r["max_rel_err"] for r in rows)
     ok = all_pass and elapsed < 120.0

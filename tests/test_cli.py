@@ -1,11 +1,14 @@
+import argparse
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from nightscan.cli import dispatch
+from nightscan.cli import build_parser, dispatch
 from nightscan.model import NetworkConfig, TwoStageNet, save_checkpoint
+from nightscan.train import LossConfig, TrainConfig
 from nightscan.rawio import read_ppm, read_raw_container
 
 
@@ -235,3 +238,67 @@ def test_eval_with_malformed_network_echo_is_one_json_error(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--ckpt", str(path), "--data", str(tmp_path))
     assert code == 1
     assert _one_json_error(err) == "FormatError"
+
+
+# Every value a caller can set from outside: the flags of each subcommand
+# and the keys of the three config sections.  A knob added or brought back
+# has to be added here too.
+FLAGS = {
+    "gen-data": {"--out", "--count", "--size", "--seed", "--cfa", "--ratio", "--sigma-read"},
+    "train": {"--data", "--out", "--config", "--seed"},
+    "eval": {"--ckpt", "--data", "--out"},
+    "infer": {"--ckpt", "--input", "--out", "--tile"},
+    "dump-scan": {"--height", "--width", "--direction", "--reversed", "--out"},
+    "gradcheck": {"--seed"},
+    "ablate": {"--axis", "--out", "--seed"},
+    "inspect-ckpt": {"--ckpt"},
+}
+CONFIG_KEYS = {
+    "network": {
+        "cfa", "base_width", "depth", "blocks_per_level", "state_dim", "ca_reduction", "scan_directions",
+        "use_retinex", "fusion", "enhance_stage",
+    },
+    "train": {"lr_init", "lr_final", "steps", "seed", "augment"},
+    "loss": {"alpha_raw", "beta_srgb", "raw_norm", "srgb_norm"},
+}
+
+
+def test_settable_surface_is_pinned():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {opt for a in p._actions for opt in a.option_strings if opt not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert flags == FLAGS
+    assert sum(map(len, flags.values())) == 28
+    sections = {"network": NetworkConfig, "train": TrainConfig, "loss": LossConfig}
+    keys = {name: {f.name for f in dataclasses.fields(cls)} for name, cls in sections.items()}
+    assert keys == CONFIG_KEYS
+    assert sum(map(len, keys.values())) == 19
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--ckpt", "x.ckpt", "--data", "d", "--seed", "0"],
+        ["infer", "--ckpt", "x.ckpt", "--input", "x.rraw", "--out", "o", "--seed", "0"],
+        ["dump-scan", "--height", "2", "--width", "2", "--direction", "horizontal", "--seed", "0"],
+        ["inspect-ckpt", "--ckpt", "x.ckpt", "--seed", "0"],
+        ["gradcheck", "--eps", "1e-5"],
+        ["gradcheck", "--tol", "1e9"],
+    ],
+    ids=["eval-seed", "infer-seed", "dump-scan-seed", "inspect-ckpt-seed", "gradcheck-eps", "gradcheck-tol"],
+)
+def test_removed_flag_is_one_json_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert _one_json_error(err) == "ConfigError"
+
+
+def test_removed_epochs_key_is_one_json_config_error(capsys, tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"train": {"epochs": 250}}))
+    code, _, err = run(capsys, "train", "--data", str(tmp_path), "--out", str(tmp_path / "run"), "--config", str(cfg_path))
+    assert code == 1
+    assert _one_json_error(err) == "ConfigError"
+    assert "epochs" in json.loads(err)["message"]

@@ -79,3 +79,15 @@ def test_macs_match_golden(name):
 
 def test_default_macs_at_packed_128():
     assert count_flops(NetworkConfig(), (4, 128, 128)) == 698747680
+
+
+def test_recorder_refuses_to_overwrite_without_force(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"networks": 1, "training": 2, "rraw": 3}))
+    monkeypatch.setattr(record, "GOLDEN_PATH", str(path))
+    monkeypatch.setattr(record, "compute", lambda: {"networks": 1, "training": 5, "rraw": 3})
+    assert record.main([]) == 1
+    assert json.loads(path.read_text())["training"] == 2
+    assert capsys.readouterr().out.splitlines() == [f"entries that differ from {path}: training"]
+    assert record.main(["--force"]) == 0
+    assert json.loads(path.read_text())["training"] == 5

@@ -267,10 +267,21 @@ class TestTiledForward:
         net = TwoStageNet(cfg, seed=0, dtype=np.float64)
         x = Tensor(rng.uniform(0, 1, (4, 24, 24)))
         with no_grad():
-            o1, o2 = tiled_forward(net, x, tile=16, overlap=8)
+            o1, o2 = tiled_forward(net, x, tile=16)
         assert o1.shape == (4, 24, 24)
         assert o2.shape == (3, 48, 48)
         assert np.isfinite(o1.data).all() and np.isfinite(o2.data).all()
+
+    @pytest.mark.parametrize("depth,smallest", [(2, 6), (3, 8), (4, 8), (5, 16)])
+    def test_smallest_usable_tile_is_named_and_runs(self, rng, depth, smallest):
+        net = TwoStageNet(NetworkConfig(base_width=4, depth=depth, state_dim=2, scan_directions=1), seed=0)
+        x = Tensor(rng.uniform(0, 1, (4, 2 * smallest, 2 * smallest)).astype(np.float32))
+        for tile in (-smallest, 0, smallest - 1, smallest // 2):
+            with pytest.raises(ConfigError, match=f"smallest usable tile is {smallest}$"):
+                tiled_forward(net, x, tile=tile)
+        with no_grad():
+            o1, _ = tiled_forward(net, x, tile=smallest)
+        assert o1.shape == x.shape and np.isfinite(o1.data).all()
 
 
 def test_shape_caches_stay_bounded():

@@ -6,7 +6,8 @@
 * A checkpoint saved, loaded and saved again gives the same bytes.
 * Every CLI failure prints exactly one JSON line on stderr and returns its
   documented exit code (1 for configuration, format and file errors, 2 for
-  a numeric contract violation).
+  a numeric contract violation), among them every ``--tile`` that cannot
+  tile and a negative gradcheck seed.
 """
 
 import contextlib
@@ -110,7 +111,9 @@ NONFINITE = st.sampled_from(["nan", "inf", "-inf", "-nan"])
 @st.composite
 def cli_failures(draw, workdir, nan_ckpt, frame):
     """(argv, exit code, error type) of one failing command line."""
-    kind = draw(st.sampled_from(["gen-data", "usage", "dump-scan", "inspect-ckpt", "infer-missing", "numeric"]))
+    kind = draw(st.sampled_from([
+        "gen-data", "gradcheck", "usage", "dump-scan", "inspect-ckpt", "infer-missing", "infer-tile", "numeric",
+    ]))
 
     def gen_data(flag, value):
         return ["gen-data", "--out", str(workdir / "data"), "--size", "8", f"--{flag}={value}"]
@@ -123,6 +126,8 @@ def cli_failures(draw, workdir, nan_ckpt, frame):
             ("sigma-read", NONFINITE | st.floats(max_value=-1e-6).map(repr)),
         ]))
         return gen_data(flag, draw(values)), 1, "ConfigError"
+    if kind == "gradcheck":
+        return ["gradcheck", f"--seed={draw(st.integers(max_value=-1))}"], 1, "ConfigError"
     if kind == "usage":
         word = st.from_regex(r"[a-z][a-z-]{0,9}", fullmatch=True)
         argv = draw(st.one_of(
@@ -143,6 +148,11 @@ def cli_failures(draw, workdir, nan_ckpt, frame):
     if kind == "infer-missing":
         argv = ["infer", "--ckpt", str(nan_ckpt), "--input", str(workdir / "absent.rraw"), "--out", str(workdir)]
         return argv, 1, "FileNotFoundError"
+    if kind == "infer-tile":
+        # nan_ckpt has depth 2: a usable tile is even and larger than the 4-pixel overlap
+        tile = draw(st.integers(max_value=4) | st.integers(2, 10**6).map(lambda k: 2 * k + 1))
+        argv = ["infer", "--ckpt", str(nan_ckpt), "--input", str(frame), "--out", str(workdir / "out"), f"--tile={tile}"]
+        return argv, 1, "ConfigError"
     return ["infer", "--ckpt", str(nan_ckpt), "--input", str(frame), "--out", str(workdir / "out")], 2, "NumericError"
 
 
