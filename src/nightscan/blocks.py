@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DimensionError
 from .scan import stacked_orders
-from .ssm import discretize, selective_scan
+from .ssm import zoh_scan
 from .tensor import Tensor
 
 
@@ -157,14 +157,11 @@ class DirectionalScan2d(Module):
         delta = T.softplus(T.add(T.matmul(self.wd, seqs), self.bd))
         b_seq = T.matmul(self.wb, seqs)
         c_seq = T.matmul(self.wc, seqs)
-        a = T.neg(T.exp(self.a_log))
-        abar, bbar = discretize(
-            T.reshape(a, (k, c, 1, n)),
-            T.reshape(T.transpose(b_seq, (0, 2, 1)), (k, 1, length, n)),
-            T.reshape(delta, (k, c, length, 1)),
-        )
+        a = T.reshape(T.neg(T.exp(self.a_log)), (k, c, 1, n))
+        bs = T.reshape(T.transpose(b_seq, (0, 2, 1)), (k, 1, length, n))
+        delta = T.reshape(delta, (k, c, length, 1))
         cs = T.reshape(T.transpose(c_seq, (0, 2, 1)), (k, 1, length, n))
-        y = selective_scan(seqs, abar, bbar, cs, self.d_skip)
+        y = zoh_scan(seqs, a, bs, cs, delta, self.d_skip)
         return T.reshape(T.multi_scatter(y, orders, invs), (c, h, w))
 
 

@@ -37,12 +37,14 @@ depend on the layout; returned gradients keep the memory layout of the
 plain recurrence (``G + (L, N)`` C order, ``c_seq``'s own layout for its
 gradient), because the sums downstream of them add in memory order.
 
-Memory.  Under ``no_grad`` the step products are formed in place: ``u =
-delta a`` becomes ``abar`` and the ZOH factor becomes ``bbar``, and the
-scan's state buffer is freed on return, so a discretize + scan pair holds
-three full ``(L,) + G + (N,)`` arrays at its peak.  With gradients,
-``discretize`` keeps u and the ZOH factor besides its outputs, and
-``selective_scan`` keeps every state for the backward pass.
+Memory.  The network calls ``zoh_scan``.  When nothing is taped it never
+forms a full ``(L,) + G + (N,)`` array: each L-chunk of about
+``_CHUNK_ELEMS`` elements (512 steps at level 0 of the default network)
+forms its own u, ZOH factor, abar, bbar and states, writes its part of y,
+and hands only its last state to the next chunk, so it holds a few
+chunk-sized temporaries plus y.  With gradients it runs ``discretize`` then
+``selective_scan``: ``discretize`` keeps u and the ZOH factor besides its
+outputs, and ``selective_scan`` keeps every state for the backward pass.
 """
 
 from __future__ import annotations
@@ -50,14 +52,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, _accumulate, _add_macs, _needs_grad, _record, _unbroadcast
+from .tensor import Tensor, _accumulate, _add_macs, _check_finite, _needs_grad, _record, _unbroadcast
 
 # Below this |delta * a| the (exp(u) - 1) / u factor switches to its Taylor
 # series to avoid the removable singularity at u = 0.
 ZOH_TAYLOR_THRESHOLD = 1e-4
 
 # Elements per block of the whole-array passes that reduce over N or scan
-# for small |u|: bounds their temporaries to a few MB.
+# for small |u|, and per L-chunk of an untaped ``zoh_scan``: bounds their
+# temporaries to a few MB.
 _CHUNK_ELEMS = 1 << 18
 
 
@@ -107,6 +110,25 @@ def _phi_prime(u, exp_u):
     return _with_series(out, u, lambda v: 0.5 + v / 3.0 + (v * v) / 8.0)
 
 
+def _zoh_views(a, b, delta):
+    """The L-major views of arrays a, b and delta broadcast together; delta must be >= 0."""
+    if np.any(delta < 0.0):
+        raise ContractError("discretize requires delta >= 0")
+    shape = np.broadcast_shapes(a.shape, b.shape, delta.shape)
+    return [_lmajor(np.broadcast_to(v, shape)) for v in (a, b, delta)]
+
+
+def _zoh(a_l, b_l, d_l):
+    """u = delta a, the ZOH factor phi(u), abar and bbar, from L-major views."""
+    u = np.empty(a_l.shape, dtype=np.result_type(d_l, a_l))
+    np.multiply(d_l, a_l, out=u)
+    phi = _phi(u)
+    bbar = np.empty(u.shape, dtype=np.result_type(phi, b_l))
+    np.multiply(phi, d_l, out=bbar)
+    np.multiply(bbar, b_l, out=bbar)
+    return u, phi, np.exp(u), bbar
+
+
 def discretize(a, b, delta):
     """Zero-order-hold discretization; inputs broadcast elementwise.
 
@@ -115,27 +137,9 @@ def discretize(a, b, delta):
     to it) gives the exact limit abar = 1, bbar = 0, through the Taylor
     branch of the ZOH factor.
     """
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
-    if not isinstance(b, Tensor):
-        b = Tensor(b)
-    if not isinstance(delta, Tensor):
-        delta = Tensor(delta)
-    if np.any(delta.data < 0.0):
-        raise ContractError("discretize requires delta >= 0")
-
+    a, b, delta = (v if isinstance(v, Tensor) else Tensor(v) for v in (a, b, delta))
     ad, bd, dd = a.data, b.data, delta.data
-    shape = np.broadcast_shapes(ad.shape, bd.shape, dd.shape)
-    a_l, b_l, d_l = (_lmajor(np.broadcast_to(v, shape)) for v in (ad, bd, dd))
-    u = np.empty(a_l.shape, dtype=np.result_type(dd, ad))
-    np.multiply(d_l, a_l, out=u)
-    phi = _phi(u)
-    keep = _needs_grad((a, b, delta))
-    bbar_dtype = np.result_type(phi, bd)
-    abar_buf = np.exp(u, out=np.empty_like(u) if keep else u)
-    bbar_buf = phi if not keep and phi.dtype == bbar_dtype else np.empty(u.shape, dtype=bbar_dtype)
-    np.multiply(phi, d_l, out=bbar_buf)
-    np.multiply(bbar_buf, b_l, out=bbar_buf)
+    u, phi, abar_buf, bbar_buf = _zoh(*_zoh_views(ad, bd, dd))
     abar_data, bbar_data = _from_lmajor(abar_buf), _from_lmajor(bbar_buf)
 
     def bwd_abar(g):
@@ -174,6 +178,37 @@ def _linear_recurrence(a, h, reverse=False):
         np.add(cur, tmp, out=cur)
 
 
+def _scan_shape(x_shape, abar_shape, bbar_shape, c_shape):
+    """G + (L, N) of a scan, after checking the shapes of its operands."""
+    lead, L, n = x_shape[:-1], x_shape[-1], abar_shape[-1]
+    want = lead + (L, n)
+    if abar_shape != want or bbar_shape != want:
+        raise DimensionError(f"abar/bbar must be shaped {want}, got {abar_shape}, {bbar_shape}")
+    if len(c_shape) != len(want) or c_shape[-2:] != (L, n):
+        raise DimensionError(f"c_seq must end in (L, N)={L, n}, got {c_shape}")
+    for have, need in zip(c_shape[:-2], lead):
+        if have not in (1, need):
+            raise DimensionError(f"c_seq leading dims {c_shape[:-2]} do not broadcast to {lead}")
+    return want
+
+
+def _scan_states(a_l, b_l, x_l, c_l, dd, y_l, h0=None):
+    """Every state of an L-major stretch of the scan, which starts from state
+    ``h0`` (None: h[-1] = 0); its outputs go to ``y_l``.
+
+    The states start as bbar x and the recurrence adds the carried part.
+    """
+    h = np.empty(a_l.shape, dtype=np.result_type(x_l, a_l, b_l))
+    np.multiply(b_l, x_l[..., None], out=h)
+    if h0 is not None:
+        h[0] += a_l[0] * h0
+    _linear_recurrence(a_l, h)
+    for s in _l_chunks(h):
+        np.add((h[s] * c_l[s]).sum(axis=-1), dd * x_l[s], out=y_l[s])
+    _add_macs(y_l.size * (3 * h.shape[-1] + 1))
+    return h
+
+
 def selective_scan(x, abar, bbar, c_seq, d_skip):
     """Sequential state-space recurrence along the last axis of ``x``.
 
@@ -187,35 +222,15 @@ def selective_scan(x, abar, bbar, c_seq, d_skip):
 
     Returns y with the shape of ``x``.  h[-1] = 0.
     """
-    lead = x.data.shape[:-1]
-    L = x.data.shape[-1]
-    n = abar.data.shape[-1]
-    want = lead + (L, n)
-    if abar.data.shape != want or bbar.data.shape != want:
-        raise DimensionError(f"abar/bbar must be shaped {want}, got {abar.data.shape}, {bbar.data.shape}")
-    if c_seq.data.ndim != len(want) or c_seq.data.shape[-2:] != (L, n):
-        raise DimensionError(f"c_seq must end in (L, N)={L, n}, got {c_seq.data.shape}")
-    for have, need in zip(c_seq.data.shape[:-2], lead):
-        if have not in (1, need):
-            raise DimensionError(f"c_seq leading dims {c_seq.data.shape[:-2]} do not broadcast to {lead}")
-
     xd = x.data
     ad, bd, cd = abar.data, bbar.data, c_seq.data
-    dd = np.broadcast_to(np.asarray(d_skip.data), lead)
+    want = _scan_shape(xd.shape, ad.shape, bd.shape, cd.shape)
+    dd = np.broadcast_to(np.asarray(d_skip.data), want[:-2])
     x_l = np.moveaxis(xd, -1, 0)
     a_l = np.ascontiguousarray(_lmajor(ad))
     b_l, c_l = _lmajor(bd), _lmajor(cd)
-
-    # every state h[k], L-major; it starts as bbar x and the recurrence
-    # adds the carried part
-    h = np.empty(a_l.shape, dtype=np.result_type(xd, ad, bd))
-    np.multiply(b_l, x_l[..., None], out=h)
-    _linear_recurrence(a_l, h)
     y = np.empty_like(xd)
-    y_l = np.moveaxis(y, -1, 0)
-    for s in _l_chunks(h):
-        np.add((h[s] * c_l[s]).sum(axis=-1), dd * x_l[s], out=y_l[s])
-    _add_macs(int(np.prod(lead, dtype=np.int64)) * L * (3 * n + 1))
+    h = _scan_states(a_l, b_l, x_l, c_l, dd, np.moveaxis(y, -1, 0))
 
     def bwd(g):
         g_l = np.moveaxis(g, -1, 0)
@@ -242,6 +257,35 @@ def selective_scan(x, abar, bbar, c_seq, d_skip):
         _accumulate(d_skip, _unbroadcast((g * xd).sum(axis=-1), d_skip.data.shape))
 
     return _record(y, (x, abar, bbar, c_seq, d_skip), bwd, "selective_scan")
+
+
+def zoh_scan(x, a, b, c_seq, delta, d_skip):
+    """``selective_scan(x, *discretize(a, b, delta), c_seq, d_skip)``, on tensors.
+
+    When the result would be taped it runs exactly that pair.  Otherwise
+    discretization is fused into the scan: each L-chunk of about
+    ``_CHUNK_ELEMS`` elements forms its own abar, bbar and states, and only
+    the last state carries into the next chunk.  Both ways give the same
+    bits, and for one faulty input the same error under the same op name.
+    """
+    if _needs_grad((x, a, b, c_seq, delta, d_skip)):
+        return selective_scan(x, *discretize(a, b, delta), c_seq, d_skip)
+    ad, bd, dd = a.data, b.data, delta.data
+    a_l, b_l, d_l = _zoh_views(ad, bd, dd)
+    shape = np.broadcast_shapes(ad.shape, bd.shape, dd.shape)
+    want = _scan_shape(x.data.shape, shape, shape, c_seq.data.shape)
+    skip = np.broadcast_to(np.asarray(d_skip.data), want[:-2])
+    x_l, c_l = np.moveaxis(x.data, -1, 0), _lmajor(c_seq.data)
+    y = np.empty_like(x.data)
+    y_l = np.moveaxis(y, -1, 0)
+    h0 = None
+    for s in _l_chunks(a_l):
+        _, _, abar, bbar = _zoh(a_l[s], b_l[s], d_l[s])
+        _check_finite(abar, "discretize.abar")
+        _check_finite(bbar, "discretize.bbar")
+        h0 = _scan_states(abar, bbar, x_l[s], c_l[s], skip, y_l[s], h0)[-1].copy()
+        del abar, bbar  # freed before the next chunk forms its own
+    return _record(y, (x, a, b, c_seq, delta, d_skip), None, "selective_scan")
 
 
 def lti_kernel_scan(x, abar, bbar, c, d):

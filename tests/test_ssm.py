@@ -1,11 +1,12 @@
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from nightscan import ssm
 from nightscan import tensor as T
-from nightscan.errors import ContractError, DimensionError
+from nightscan.errors import ContractError, DimensionError, NumericError
 from nightscan.tensor import Tensor, backward, no_grad
 
 
@@ -126,6 +127,48 @@ class TestSelectiveScan:
         backward(T.mean(y))
         for t in (x, abar, bbar, cs, d):
             assert t.grad is not None and np.any(t.grad)
+
+
+class TestZohScanContract:
+    """The untaped zoh_scan raises what the taped discretize + scan pair raises."""
+
+    @staticmethod
+    def _inputs(fault):
+        # x, a, b, c_seq, delta, d_skip as DirectionalScan2d shapes them, with one fault
+        rng = np.random.default_rng(8)
+        k, c, L, n = 2, 3, 6, 4
+        x = rng.standard_normal((k, c, L + (fault == "length")))
+        a = -np.exp(rng.standard_normal((k, c, 1, n)))
+        b = rng.standard_normal((k, 1, L, n))
+        cs = rng.standard_normal((k, 1, L, n))
+        delta = np.exp(rng.uniform(-5.0, -1.0, (k, c, L, 1)))
+        d = rng.standard_normal((k, c))
+        if fault == "negative_delta":
+            delta[1, 2, 3, 0] = -0.5
+        elif fault == "nonfinite_x":
+            x[0, 1, 4] = np.nan
+        elif fault == "nonfinite_b":
+            b[1, 0, 2, 3] = np.inf
+        return x, a, b, cs, delta, d
+
+    @pytest.mark.parametrize(
+        "fault, error, op",
+        [
+            ("negative_delta", ContractError, "discretize"),
+            ("length", DimensionError, "abar/bbar"),
+            ("nonfinite_x", NumericError, "selective_scan"),
+            ("nonfinite_b", NumericError, "discretize.bbar"),
+        ],
+    )
+    def test_taped_and_untaped_raise_alike(self, fault, error, op):
+        messages = []
+        for context in (nullcontext, no_grad):
+            args = [Tensor(v, requires_grad=True) for v in self._inputs(fault)]
+            with pytest.raises(error) as info, context():
+                ssm.zoh_scan(*args)
+            messages.append(str(info.value))
+        assert op in messages[0]
+        assert messages[1] == messages[0]
 
 
 class TestKernelOracle:
