@@ -193,8 +193,8 @@ def _scan_shape(x_shape, abar_shape, bbar_shape, c_shape):
 
 
 def _scan_states(a_l, b_l, x_l, c_l, dd, y_l, h0=None):
-    """Every state of an L-major stretch of the scan, which starts from state
-    ``h0`` (None: h[-1] = 0); its outputs go to ``y_l``.
+    """Every state of an L-major stretch of the scan that starts from state
+    ``h0`` (None: h[-1] = 0); writes the stretch's outputs into ``y_l``.
 
     The states start as bbar x and the recurrence adds the carried part.
     """
