@@ -31,6 +31,17 @@ c . h + d x and the gradients of abar, bbar, c and x) is whole-array work
 outside the loop, reduced in L-chunks so no second full-size product
 array is alive.
 
+The untaped ``zoh_scan`` works in the ``(L, N) + G`` layout instead, one
+L-chunk at a time (``(Lc, N, K, C)`` in the network).  delta and x have no
+N axis, so in ``(L,) + G + (N,)`` each product with them broadcasts over
+the short innermost N axis and runs one N-long inner loop per element of
+G; with N ahead of G those products run long contiguous inner loops, and
+each recurrence step is still one contiguous ``N + G`` block.  y's sum
+over N then runs over an axis that is not the last one, where numpy would
+add in another order than the pairwise order it uses on a contiguous last
+axis, so ``_sum_terms`` writes that pairwise order out as explicit adds:
+y keeps the bits of ``selective_scan``'s ``.sum(axis=-1)``.
+
 Every value and gradient is computed with the same per-element operations
 in the same order as the plain step-by-step recurrence, so results do not
 depend on the layout; returned gradients keep the memory layout of the
@@ -40,9 +51,14 @@ gradient), because the sums downstream of them add in memory order.
 Memory.  The network calls ``zoh_scan``.  When nothing is taped it never
 forms a full ``(L,) + G + (N,)`` array: each L-chunk of about
 ``_CHUNK_ELEMS`` elements (512 steps at level 0 of the default network)
-forms its own u, ZOH factor, abar, bbar and states, writes its part of y,
+copies its own slices of delta, x, b and c (size-1 axes kept, so nothing
+is broadcast to full size), forms its u, ZOH factor, abar, bbar and states
+in two C-contiguous chunk buffers (abar = exp(u) in u's buffer, then h c
+there; bbar in the ZOH factor's, then the states), writes its part of y,
 and hands only its last state to the next chunk, so it holds a few
-chunk-sized temporaries plus y.  With gradients it runs ``discretize`` then
+chunk-sized temporaries plus y.  The chunk's buffers are freed when it
+returns, not left in a reference cycle for the garbage collector.  With
+gradients it runs ``discretize`` then
 ``selective_scan``: ``discretize`` keeps u and the ZOH factor besides its
 outputs, and ``selective_scan`` keeps every state for the backward pass.
 """
@@ -74,18 +90,21 @@ def _from_lmajor(arr):
     return np.moveaxis(arr, 0, -2) if arr.ndim >= 2 else arr
 
 
-def _l_chunks(h):
-    """Slices of axis 0 of ``h`` holding about ``_CHUNK_ELEMS`` elements each."""
-    step = max(1, _CHUNK_ELEMS // max(1, h[0:1].size))
-    return [slice(i, i + step) for i in range(0, len(h), step)]
+def _l_chunks(shape):
+    """Slices of axis 0 of an array of ``shape`` holding about ``_CHUNK_ELEMS`` elements each."""
+    step = max(1, _CHUNK_ELEMS // max(1, int(np.prod(shape[1:]))))
+    return [slice(i, i + step) for i in range(0, shape[0], step)]
 
 
 def _with_series(out, u, series):
     """Overwrite ``out`` by ``series(u)`` where |u| < ZOH_TAYLOR_THRESHOLD.
 
-    Both arrays are contiguous; the small entries are found chunk by chunk
-    and the series runs on those entries only.
+    Both arrays must be C-contiguous (a reshaped copy would take the writes
+    instead); the small entries are found chunk by chunk and the series runs
+    on those entries only.
     """
+    if not (out.flags.c_contiguous and u.flags.c_contiguous):
+        raise ContractError("the ZOH series needs C-contiguous arrays")
     flat_u, flat_out = u.reshape(-1), out.reshape(-1)
     for i in range(0, flat_u.size, _CHUNK_ELEMS):
         idx = np.flatnonzero(np.abs(flat_u[i:i + _CHUNK_ELEMS]) < ZOH_TAYLOR_THRESHOLD) + i
@@ -110,12 +129,11 @@ def _phi_prime(u, exp_u):
     return _with_series(out, u, lambda v: 0.5 + v / 3.0 + (v * v) / 8.0)
 
 
-def _zoh_views(a, b, delta):
-    """The L-major views of arrays a, b and delta broadcast together; delta must be >= 0."""
+def _zoh_shape(a, b, delta):
+    """The shape arrays a, b and delta broadcast to; delta must be >= 0."""
     if np.any(delta < 0.0):
         raise ContractError("discretize requires delta >= 0")
-    shape = np.broadcast_shapes(a.shape, b.shape, delta.shape)
-    return [_lmajor(np.broadcast_to(v, shape)) for v in (a, b, delta)]
+    return np.broadcast_shapes(a.shape, b.shape, delta.shape)
 
 
 def _zoh(a_l, b_l, d_l):
@@ -139,7 +157,8 @@ def discretize(a, b, delta):
     """
     a, b, delta = (v if isinstance(v, Tensor) else Tensor(v) for v in (a, b, delta))
     ad, bd, dd = a.data, b.data, delta.data
-    u, phi, abar_buf, bbar_buf = _zoh(*_zoh_views(ad, bd, dd))
+    shape = _zoh_shape(ad, bd, dd)
+    u, phi, abar_buf, bbar_buf = _zoh(*(_lmajor(np.broadcast_to(v, shape)) for v in (ad, bd, dd)))
     abar_data, bbar_data = _from_lmajor(abar_buf), _from_lmajor(bbar_buf)
 
     def bwd_abar(g):
@@ -173,9 +192,10 @@ def _linear_recurrence(a, h, reverse=False):
     tmp = np.empty_like(h[0])
     hs = list(h[::-1]) if reverse else list(h)
     ms = list(a[::-1]) if reverse else list(a[1:])
+    multiply, add = np.multiply, np.add
     for prev, cur, m in zip(hs, hs[1:], ms):
-        np.multiply(m, prev, out=tmp)
-        np.add(cur, tmp, out=cur)
+        multiply(m, prev, tmp)  # positional outputs: less call overhead per step
+        add(cur, tmp, cur)
 
 
 def _scan_shape(x_shape, abar_shape, bbar_shape, c_shape):
@@ -190,23 +210,6 @@ def _scan_shape(x_shape, abar_shape, bbar_shape, c_shape):
         if have not in (1, need):
             raise DimensionError(f"c_seq leading dims {c_shape[:-2]} do not broadcast to {lead}")
     return want
-
-
-def _scan_states(a_l, b_l, x_l, c_l, dd, y_l, h0=None):
-    """Every state of an L-major stretch of the scan that starts from state
-    ``h0`` (None: h[-1] = 0); writes the stretch's outputs into ``y_l``.
-
-    The states start as bbar x and the recurrence adds the carried part.
-    """
-    h = np.empty(a_l.shape, dtype=np.result_type(x_l, a_l, b_l))
-    np.multiply(b_l, x_l[..., None], out=h)
-    if h0 is not None:
-        h[0] += a_l[0] * h0
-    _linear_recurrence(a_l, h)
-    for s in _l_chunks(h):
-        np.add((h[s] * c_l[s]).sum(axis=-1), dd * x_l[s], out=y_l[s])
-    _add_macs(y_l.size * (3 * h.shape[-1] + 1))
-    return h
 
 
 def selective_scan(x, abar, bbar, c_seq, d_skip):
@@ -230,7 +233,14 @@ def selective_scan(x, abar, bbar, c_seq, d_skip):
     a_l = np.ascontiguousarray(_lmajor(ad))
     b_l, c_l = _lmajor(bd), _lmajor(cd)
     y = np.empty_like(xd)
-    h = _scan_states(a_l, b_l, x_l, c_l, dd, np.moveaxis(y, -1, 0))
+    y_l = np.moveaxis(y, -1, 0)
+    # the states start as bbar x and the recurrence adds the carried part
+    h = np.empty(a_l.shape, dtype=np.result_type(x_l, a_l, b_l))
+    np.multiply(b_l, x_l[..., None], out=h)
+    _linear_recurrence(a_l, h)
+    for s in _l_chunks(h.shape):
+        np.add((h[s] * c_l[s]).sum(axis=-1), dd * x_l[s], out=y_l[s])
+    _add_macs(y.size * (3 * h.shape[-1] + 1))
 
     def bwd(g):
         g_l = np.moveaxis(g, -1, 0)
@@ -247,7 +257,7 @@ def selective_scan(x, abar, bbar, c_seq, d_skip):
         gx_l = np.moveaxis(gx, -1, 0)
         gc = np.zeros_like(cd)
         gc_l = _lmajor(gc)
-        for s in _l_chunks(h):
+        for s in _l_chunks(h.shape):
             np.add((dh[s] * b_l[s]).sum(axis=-1), g_l[s] * dd, out=gx_l[s])
             gc_l[s] += _unbroadcast(g_l[s][..., None] * h[s], gc_l[s].shape)
         _accumulate(x, gx)
@@ -259,32 +269,110 @@ def selective_scan(x, abar, bbar, c_seq, d_skip):
     return _record(y, (x, abar, bbar, c_seq, d_skip), bwd, "selective_scan")
 
 
+def _pairwise_sum(p):
+    """Sum of ``p`` over axis 0 in the order numpy's pairwise summation adds
+    the terms of a contiguous axis: sequential below 8 terms, eight
+    accumulators up to 128, halves split at a multiple of 8 above.
+    """
+    n = len(p)
+    if n < 8:
+        total = p[0].copy()
+        for t in p[1:]:
+            total += t
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        total = _pairwise_sum(p[:half])
+        total += _pairwise_sum(p[half:])
+        return total
+    r = p[:8]
+    for i in range(8, n - n % 8, 8):
+        r = r + p[i:i + 8]
+    total = r[0] + r[1]
+    total += r[2] + r[3]
+    right = r[4] + r[5]
+    right += r[6] + r[7]
+    total += right
+    for t in p[n - n % 8:]:
+        total += t
+    return total
+
+
+def _sum_terms(p):
+    """``np.add.reduce`` over axis 0 of ``p``, bit for bit as if that axis
+    were the contiguous last one: the pairwise sum added to the initial 0,
+    which turns a sum of -0.0 terms into +0.0.
+    """
+    total = _pairwise_sum(p)
+    total += 0.0
+    return total
+
+
+def _chunk(arr, ndim, s):
+    """Steps ``s`` of an array broadcastable to a ``G + (L, N)`` shape of
+    ``ndim`` axes, copied C-contiguous in the ``(L, N) + G`` layout; axes of
+    size 1 stay size 1.
+    """
+    v = np.moveaxis(arr.reshape((1,) * (ndim - arr.ndim) + arr.shape), (-2, -1), (0, 1))
+    return np.ascontiguousarray(v if len(v) == 1 else v[s])
+
+
+def _reuse(buf, dtype):
+    """``buf`` as the output buffer of a result of ``dtype`` when it holds that dtype, else a new one."""
+    return buf if buf.dtype == dtype else np.empty(buf.shape, dtype)
+
+
+def _fused_chunk(a_c, b_c, d_c, x_c, c_c, skip, h0, y_c):
+    """One L-chunk of an untaped ``zoh_scan``: writes its outputs into
+    ``y_c`` and returns its last state.
+
+    The operands are ``(L, N) + G`` chunks from ``_chunk`` and every buffer
+    is C-contiguous in that layout.  abar is formed in u's buffer and then
+    holds h c; bbar is formed in the ZOH factor's buffer and then holds h.
+    """
+    u = np.empty(np.broadcast_shapes(a_c.shape, b_c.shape, d_c.shape), dtype=np.result_type(d_c, a_c))
+    np.multiply(d_c, a_c, out=u)
+    phi = _phi(u)
+    bbar = _reuse(phi, np.result_type(phi, b_c))
+    np.multiply(phi, d_c, out=bbar)
+    np.multiply(bbar, b_c, out=bbar)
+    abar = np.exp(u, out=u)
+    _check_finite(abar, "discretize.abar")
+    _check_finite(bbar, "discretize.bbar")
+    h = _reuse(bbar, np.result_type(x_c, abar, bbar))
+    np.multiply(bbar, x_c, out=h)
+    if h0 is not None:
+        h[0] += abar[0] * h0
+    _linear_recurrence(abar, h)
+    hc = _reuse(abar, np.result_type(h, c_c))
+    np.multiply(h, c_c, out=hc)
+    np.add(_sum_terms(hc.swapaxes(0, 1)), skip * x_c[:, 0], out=y_c)
+    return h[-1].copy()
+
+
 def zoh_scan(x, a, b, c_seq, delta, d_skip):
     """``selective_scan(x, *discretize(a, b, delta), c_seq, d_skip)``, on tensors.
 
     When the result would be taped it runs exactly that pair.  Otherwise
     discretization is fused into the scan: each L-chunk of about
-    ``_CHUNK_ELEMS`` elements forms its own abar, bbar and states, and only
-    the last state carries into the next chunk.  Both ways give the same
-    bits, and for one faulty input the same error under the same op name.
+    ``_CHUNK_ELEMS`` elements forms its own abar, bbar and states in the
+    ``(L, N) + G`` layout, and only the last state carries into the next
+    chunk.  Both ways give the same bits, and for one faulty input the same
+    error under the same op name.
     """
     if _needs_grad((x, a, b, c_seq, delta, d_skip)):
         return selective_scan(x, *discretize(a, b, delta), c_seq, d_skip)
-    ad, bd, dd = a.data, b.data, delta.data
-    a_l, b_l, d_l = _zoh_views(ad, bd, dd)
-    shape = np.broadcast_shapes(ad.shape, bd.shape, dd.shape)
-    want = _scan_shape(x.data.shape, shape, shape, c_seq.data.shape)
+    ad, bd, dd, xd, cd = a.data, b.data, delta.data, x.data, c_seq.data
+    shape = _zoh_shape(ad, bd, dd)
+    want = _scan_shape(xd.shape, shape, shape, cd.shape)
     skip = np.broadcast_to(np.asarray(d_skip.data), want[:-2])
-    x_l, c_l = np.moveaxis(x.data, -1, 0), _lmajor(c_seq.data)
-    y = np.empty_like(x.data)
+    y = np.empty_like(xd)
     y_l = np.moveaxis(y, -1, 0)
     h0 = None
-    for s in _l_chunks(a_l):
-        _, _, abar, bbar = _zoh(a_l[s], b_l[s], d_l[s])
-        _check_finite(abar, "discretize.abar")
-        _check_finite(bbar, "discretize.bbar")
-        h0 = _scan_states(abar, bbar, x_l[s], c_l[s], skip, y_l[s], h0)[-1].copy()
-        del abar, bbar  # freed before the next chunk forms its own
+    for s in _l_chunks(y_l.shape + want[-1:]):
+        parts = (_chunk(v, len(want), s) for v in (ad, bd, dd, xd[..., None], cd))
+        h0 = _fused_chunk(*parts, skip, h0, y_l[s])
+    _add_macs(y.size * (3 * want[-1] + 1))
     return _record(y, (x, a, b, c_seq, delta, d_skip), None, "selective_scan")
 
 

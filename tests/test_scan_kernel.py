@@ -9,6 +9,7 @@ arithmetic in the same order, so values and gradients must be equal, not
 merely close.
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -131,6 +132,9 @@ CASES = [
     (3, (4,), 1, 3, np.float32, False, True),
     (4, (3, 5), 33, 8, np.float32, True, True),
     (5, (2, 2), 5, 2, np.float64, False, False),
+    # N past 8 and past 128: the remainder and split branches of the N-sum
+    (6, (2, 3), 11, 13, np.float32, True, True),
+    (7, (2,), 5, 130, np.float64, False, False),
 ]
 
 
@@ -209,6 +213,63 @@ def test_zoh_scan_bit_equal_to_pair(case, steps, monkeypatch):
         want = _pair(x, a, b, c, delta, d).data
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
+
+
+def test_zoh_scan_bit_equal_to_pair_with_mixed_dtypes():
+    arrays, _ = _case(*CASES[0])
+    a, b, delta, x, c, d, _ = (Tensor(v, dtype=np.float32) for v in arrays)
+    for t in (b, x, c):
+        # float64 b, x and c give bbar, h and h c another dtype than the buffers they reuse
+        t.data = t.data.astype(np.float64)
+    with no_grad():
+        got = ssm.zoh_scan(x, a, b, c, delta, d).data
+        want = _pair(x, a, b, c, delta, d).data
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sum_terms_bit_equal_to_numpy_sum(dtype):
+    # numpy sums a contiguous axis pairwise; the untaped scan sums N over axis 0
+    rng = np.random.default_rng(9)
+    for n in list(range(1, 18)) + [24, 31, 64, 127, 128, 129, 200, 257]:
+        mags = 10.0 ** rng.uniform(-12.0, 12.0, (n, 3, 5))
+        p = (rng.standard_normal((n, 3, 5)) * mags).astype(dtype)
+        p[:, 0, 0] = -0.0
+        want = np.add.reduce(np.ascontiguousarray(np.moveaxis(p, 0, -1)), axis=-1)
+        got = ssm._sum_terms(p)
+        assert got.dtype == want.dtype and got.shape == want.shape, n
+        int_type = np.int32 if dtype == np.float32 else np.int64
+        np.testing.assert_array_equal(got.view(int_type), want.view(int_type), err_msg=f"N={n}")
+
+
+def test_untaped_scan_keeps_no_chunk_buffers():
+    # level 0 of the default network at packed 64: L = 4096 spans 8 chunks
+    k, c, n, L = 8, 8, 8, 64 * 64
+    rng = np.random.default_rng(2)
+    args = [
+        rng.standard_normal((k, c, L)),
+        -np.exp(rng.standard_normal((k, c, 1, n))),
+        rng.standard_normal((k, 1, L, n)),
+        rng.standard_normal((k, 1, L, n)),
+        np.exp(rng.uniform(-5.0, -1.0, (k, c, L, 1))),
+        rng.standard_normal((k, c)),
+    ]
+    args = [Tensor(v, dtype=np.float32) for v in args]
+    was_enabled = gc.isenabled()
+    gc.disable()  # a buffer held in a reference cycle stays until a collection
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        with no_grad():
+            y = ssm.zoh_scan(*args)
+        del y
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert after - before <= 64 * 1024, f"{(after - before) / 1024:.0f} KB still held"
 
 
 def test_zoh_scan_bit_equal_to_pair_in_a_scan_block(monkeypatch):

@@ -70,6 +70,17 @@ class TestDiscretize:
         for leaf in (a, b):
             assert leaf.grad is None or not leaf.grad.any()
 
+    @pytest.mark.parametrize("which", ["out", "u"])
+    def test_series_rejects_non_contiguous_arrays(self, which):
+        # a reshaped copy of a strided array would take the series' writes
+        u, out = np.full((4, 6), 1e-6), np.empty((4, 6))
+        if which == "out":
+            out = np.empty((6, 4)).T
+        else:
+            u = np.full((6, 4), 1e-6).T
+        with pytest.raises(ContractError, match="C-contiguous"):
+            ssm._with_series(out, u, lambda v: v)
+
     def test_range_contract_for_decay(self):
         rng = np.random.default_rng(0)
         a = -np.exp(rng.standard_normal(50))
