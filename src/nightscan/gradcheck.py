@@ -169,6 +169,23 @@ def primitive_cases():
 
         return fn, {"x": x, "abar": abar, "bbar": bbar, "c": cs, "d": d}
 
+    def zoh_scan_case(rng):
+        # shaped as DirectionalScan2d makes them: c_seq broadcast over C, and
+        # every third step's |delta a| below ZOH_TAYLOR_THRESHOLD (delta >= 2 EPS)
+        x = _leaf(rng, (2, 3, 6))
+        a = Tensor(-np.exp(rng.uniform(-1.0, 0.5, (2, 3, 1, 4))), requires_grad=True)
+        b = _leaf(rng, (2, 1, 6, 4))
+        cs = _leaf(rng, (2, 1, 6, 4))
+        steps = np.exp(rng.uniform(-3, 0, (2, 3, 6, 1)))
+        steps[:, :, ::3] = rng.uniform(2e-5, 5e-5, steps[:, :, ::3].shape)
+        delta = Tensor(steps, requires_grad=True)
+        d = _leaf(rng, (2, 3))
+
+        def fn():
+            return _mean_sq(ssm.zoh_scan(x, a, b, cs, delta, d))
+
+        return fn, {"x": x, "a": a, "b": b, "c": cs, "delta": delta, "d": d}
+
     cases += [
         ("concat_channels", concat_case),
         ("matmul", matmul_case),
@@ -180,6 +197,7 @@ def primitive_cases():
         ("multi_scatter", multi_scatter_case),
         ("discretize", discretize_case),
         ("selective_scan", selective_scan_case),
+        ("zoh_scan", zoh_scan_case),
     ]
     return cases
 

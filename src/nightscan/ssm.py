@@ -18,29 +18,29 @@ step-invariant the same map is a causal convolution with kernel
 ``lti_kernel_scan`` evaluates that form independently so the two paths can
 be checked against each other.
 
-Layout.  The public shapes are ``G + (L, N)`` (G any leading shape), but
-the kernels work in the L-major layout ``(L,) + G + (N,)``: one step of the
-recurrence is then one contiguous ``G + (N,)`` block.  ``discretize``
-writes ``abar`` and ``bbar`` into L-major buffers and returns ``G + (L, N)``
-views of them; ``selective_scan`` copies an input that is not L-major once.
-One helper, ``_linear_recurrence``, runs h[k] += a[k] h[k-1] in place, two
-ufunc calls per step; the forward pass runs it on bbar x and the backward
-pass runs it reversed on g c, which gives the adjoint state dh (a reversed
-linear recurrence with the same multipliers).  Everything else (bbar x,
-c . h + d x and the gradients of abar, bbar, c and x) is whole-array work
-outside the loop, reduced in L-chunks so no second full-size product
-array is alive.
+Layout.  The public shapes are ``G + (L, N)`` (G any leading shape).
+``discretize`` and ``selective_scan``, the taped pair that the tests and
+the gradient check hold ``zoh_scan`` to, work in the L-major layout
+``(L,) + G + (N,)``: one step of the recurrence is then one contiguous
+``G + (N,)`` block.  ``discretize`` writes ``abar`` and ``bbar`` into
+L-major buffers and returns ``G + (L, N)`` views of them;
+``selective_scan`` copies an input that is not L-major once.  One helper,
+``_linear_recurrence``, runs h[k] += a[k] h[k-1] in place, two ufunc calls
+per step; the forward pass runs it on bbar x and the backward pass runs it
+reversed on g c, which gives the adjoint state dh (a reversed linear
+recurrence with the same multipliers).
 
-The untaped ``zoh_scan`` works in the ``(L, N) + G`` layout instead, one
-L-chunk at a time (``(Lc, N, K, C)`` in the network).  delta and x have no
-N axis, so in ``(L,) + G + (N,)`` each product with them broadcasts over
-the short innermost N axis and runs one N-long inner loop per element of
-G; with N ahead of G those products run long contiguous inner loops, and
-each recurrence step is still one contiguous ``N + G`` block.  y's sum
-over N then runs over an axis that is not the last one, where numpy would
-add in another order than the pairwise order it uses on a contiguous last
-axis, so ``_sum_terms`` writes that pairwise order out as explicit adds:
-y keeps the bits of ``selective_scan``'s ``.sum(axis=-1)``.
+``zoh_scan``, the network's one scan op, works in the ``(L, N) + G``
+layout instead (``(L, N, K, C)`` in the network), taped or not.  delta and
+x have no N axis, so in ``(L,) + G + (N,)`` each product with them
+broadcasts over the short innermost N axis and runs one N-long inner loop
+per element of G; with N ahead of G those products run long contiguous
+inner loops, and each recurrence step is still one contiguous ``N + G``
+block.  The pair's sums keep their order: numpy sums the contiguous last
+axis N pairwise and every other axis in order, so ``_sum_terms`` writes
+the pairwise order out as explicit adds over N, and ``_sum_to`` sums L in
+order over the outer axis 0 and the broadcast G axis of b and c (C,
+innermost here) by adds in order.
 
 Every value and gradient is computed with the same per-element operations
 in the same order as the plain step-by-step recurrence, so results do not
@@ -48,19 +48,20 @@ depend on the layout; returned gradients keep the memory layout of the
 plain recurrence (``G + (L, N)`` C order, ``c_seq``'s own layout for its
 gradient), because the sums downstream of them add in memory order.
 
-Memory.  The network calls ``zoh_scan``.  When nothing is taped it never
-forms a full ``(L,) + G + (N,)`` array: each L-chunk of about
-``_CHUNK_ELEMS`` elements (512 steps at level 0 of the default network)
-copies its own slices of delta, x, b and c (size-1 axes kept, so nothing
-is broadcast to full size), forms its u, ZOH factor, abar, bbar and states
-in two C-contiguous chunk buffers (abar = exp(u) in u's buffer, then h c
-there; bbar in the ZOH factor's, then the states), writes its part of y,
-and hands only its last state to the next chunk, so it holds a few
-chunk-sized temporaries plus y.  The chunk's buffers are freed when it
-returns, not left in a reference cycle for the garbage collector.  With
-gradients it runs ``discretize`` then
-``selective_scan``: ``discretize`` keeps u and the ZOH factor besides its
-outputs, and ``selective_scan`` keeps every state for the backward pass.
+Memory.  ``zoh_scan``'s forward walks the sequence in L-chunks of about
+``_CHUNK_ELEMS`` elements (512 steps at level 0 of the default network).
+Each copies its own slices of delta, x, b and c (size-1 axes kept, so
+nothing is broadcast to full size), forms its u, ZOH factor, abar, bbar
+and states in two C-contiguous chunk buffers (abar = exp(u) in u's buffer,
+then h c there; bbar in the ZOH factor's, then the states), writes its
+part of y, and hands only its last state to the next chunk.  The chunk's
+buffers are freed when it returns, not left in a reference cycle for the
+garbage collector.  Untaped, it never forms a full ``(L,) + G + (N,)``
+array.  Taped, the chunks write their states into one full ``(L, N) + G``
+array, the only one the tape keeps (the pair kept u, the ZOH factor, abar,
+bbar and the states).  The backward is one whole-sequence chunk: it
+re-forms the ZOH terms from the inputs and holds at most six full-size
+arrays at once, the states included.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .tensor import Tensor, _accumulate, _add_macs, _check_finite, _needs_grad, 
 ZOH_TAYLOR_THRESHOLD = 1e-4
 
 # Elements per block of the whole-array passes that reduce over N or scan
-# for small |u|, and per L-chunk of an untaped ``zoh_scan``: bounds their
+# for small |u|, and per L-chunk of ``zoh_scan``'s forward: bounds their
 # temporaries to a few MB.
 _CHUNK_ELEMS = 1 << 18
 
@@ -123,9 +124,12 @@ def _phi(u):
 
 
 def _phi_prime(u, exp_u):
-    """d/du of ``_phi``; ``exp_u`` is exp(u)."""
+    """d/du of ``_phi``; ``exp_u`` is exp(u), of u's dtype.  Two buffers."""
+    out, tmp = np.empty_like(u), np.empty_like(u)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray((u * exp_u - np.expm1(u)) / (u * u))
+        np.multiply(u, exp_u, out=out)
+        np.subtract(out, np.expm1(u, out=tmp), out=out)
+        np.divide(out, np.multiply(u, u, out=tmp), out=out)
     return _with_series(out, u, lambda v: 0.5 + v / 3.0 + (v * v) / 8.0)
 
 
@@ -136,15 +140,19 @@ def _zoh_shape(a, b, delta):
     return np.broadcast_shapes(a.shape, b.shape, delta.shape)
 
 
-def _zoh(a_l, b_l, d_l):
-    """u = delta a, the ZOH factor phi(u), abar and bbar, from L-major views."""
-    u = np.empty(a_l.shape, dtype=np.result_type(d_l, a_l))
-    np.multiply(d_l, a_l, out=u)
-    phi = _phi(u)
-    bbar = np.empty(u.shape, dtype=np.result_type(phi, b_l))
-    np.multiply(phi, d_l, out=bbar)
-    np.multiply(bbar, b_l, out=bbar)
-    return u, phi, np.exp(u), bbar
+def _zoh_factor(a, b, delta):
+    """u = delta a over the broadcast shape of the three arrays, and phi(u)."""
+    u = np.empty(np.broadcast_shapes(a.shape, b.shape, delta.shape), dtype=np.result_type(delta, a))
+    np.multiply(delta, a, out=u)
+    return u, _phi(u)
+
+
+def _bbar(phi, delta, b, buf=None):
+    """bbar = phi delta b, in ``buf`` (which may be phi's) when it holds bbar's dtype, else in a new buffer."""
+    dtype = np.result_type(phi, b)
+    bbar = np.empty(phi.shape, dtype) if buf is None else _reuse(buf, dtype)
+    np.multiply(phi, delta, out=bbar)
+    return np.multiply(bbar, b, out=bbar)
 
 
 def discretize(a, b, delta):
@@ -158,7 +166,9 @@ def discretize(a, b, delta):
     a, b, delta = (v if isinstance(v, Tensor) else Tensor(v) for v in (a, b, delta))
     ad, bd, dd = a.data, b.data, delta.data
     shape = _zoh_shape(ad, bd, dd)
-    u, phi, abar_buf, bbar_buf = _zoh(*(_lmajor(np.broadcast_to(v, shape)) for v in (ad, bd, dd)))
+    a_l, b_l, d_l = (_lmajor(np.broadcast_to(v, shape)) for v in (ad, bd, dd))
+    u, phi = _zoh_factor(a_l, b_l, d_l)
+    abar_buf, bbar_buf = np.exp(u), _bbar(phi, d_l, b_l)
     abar_data, bbar_data = _from_lmajor(abar_buf), _from_lmajor(bbar_buf)
 
     def bwd_abar(g):
@@ -322,58 +332,162 @@ def _reuse(buf, dtype):
     return buf if buf.dtype == dtype else np.empty(buf.shape, dtype)
 
 
-def _fused_chunk(a_c, b_c, d_c, x_c, c_c, skip, h0, y_c):
-    """One L-chunk of an untaped ``zoh_scan``: writes its outputs into
+def _into(buf, ufunc, x, y):
+    """``ufunc(x, y)``, written into ``buf`` when that holds the result's dtype."""
+    return ufunc(x, y, out=_reuse(buf, np.result_type(x, y)))
+
+
+def _fused_chunk(a_c, b_c, d_c, x_c, c_c, skip, h0, y_c, h=None):
+    """One L-chunk of ``zoh_scan``'s forward: writes its outputs into
     ``y_c`` and returns its last state.
 
     The operands are ``(L, N) + G`` chunks from ``_chunk`` and every buffer
     is C-contiguous in that layout.  abar is formed in u's buffer and then
-    holds h c; bbar is formed in the ZOH factor's buffer and then holds h.
+    holds h c; bbar is formed in the ZOH factor's buffer and then holds h,
+    unless the states go to ``h`` (a taped scan keeps them there).
     """
-    u = np.empty(np.broadcast_shapes(a_c.shape, b_c.shape, d_c.shape), dtype=np.result_type(d_c, a_c))
-    np.multiply(d_c, a_c, out=u)
-    phi = _phi(u)
-    bbar = _reuse(phi, np.result_type(phi, b_c))
-    np.multiply(phi, d_c, out=bbar)
-    np.multiply(bbar, b_c, out=bbar)
+    u, phi = _zoh_factor(a_c, b_c, d_c)
+    bbar = _bbar(phi, d_c, b_c, phi)
     abar = np.exp(u, out=u)
     _check_finite(abar, "discretize.abar")
     _check_finite(bbar, "discretize.bbar")
-    h = _reuse(bbar, np.result_type(x_c, abar, bbar))
+    if h is None:
+        h = _reuse(bbar, np.result_type(x_c, abar, bbar))
     np.multiply(bbar, x_c, out=h)
     if h0 is not None:
         h[0] += abar[0] * h0
     _linear_recurrence(abar, h)
-    hc = _reuse(abar, np.result_type(h, c_c))
-    np.multiply(h, c_c, out=hc)
+    hc = _into(abar, np.multiply, h, c_c)
     np.add(_sum_terms(hc.swapaxes(0, 1)), skip * x_c[:, 0], out=y_c)
     return h[-1].copy()
+
+
+def _sum_to(p, shape, order):
+    """``_unbroadcast(q, shape)``, bit for bit, where ``q`` is ``p`` (a
+    product in the ``(L, N) + G`` layout) copied C-contiguous into the axis
+    order ``order``, the layout in which the taped pair forms that product.
+
+    numpy sums a broadcast axis in order there, except the contiguous last
+    axis N, which it sums pairwise.  So a sum over one axis, with N > 1, is
+    done in place: N by ``_sum_terms``, L by numpy over the outer axis 0, a
+    G axis by adds in order.  Any other sum runs on the copy ``q``.  The
+    result is a new array, C-contiguous in the ``order`` layout, so ``p``'s
+    buffer can take the next product.
+    """
+    same_rank = p.ndim == len(shape)
+    axes = [i for i in range(p.ndim) if same_rank and shape[order.index(i)] == 1 < p.shape[i]]
+    if len(axes) != 1 or p.shape[1] == 1:
+        return _unbroadcast(np.array(p.transpose(order), order="C"), shape)
+    (ax,) = axes
+    if ax == 0:
+        total = p.sum(axis=0, keepdims=True)
+    elif ax == 1:
+        total = _sum_terms(p.swapaxes(0, 1))[:, None]
+    else:
+        terms = [p[(slice(None),) * ax + (slice(i, i + 1),)] for i in range(p.shape[ax])]
+        total = terms[0] + 0.0  # numpy's sum starts from 0, which makes -0.0 + 0.0 = +0.0
+        for t in terms[1:]:
+            total += t
+    return np.ascontiguousarray(total.transpose(order))
+
+
+def _fused_backward(g, x, a, b, c_seq, delta, d_skip, h):
+    """Accumulates the gradients of a taped ``zoh_scan`` whose output
+    gradient is ``g``, from its inputs and its states ``h``.
+
+    The whole sequence is one ``(L, N) + G`` chunk.  It re-forms the ZOH
+    terms and runs the reversed recurrence for the adjoint state dh, then
+    computes each gradient with the per-element arithmetic and the sums
+    (``_sum_to``) of ``selective_scan``'s and ``discretize``'s backwards,
+    so every gradient keeps their bits.  It accumulates in their tape
+    order: x, c_seq, d_skip, then b, a, delta from bbar, then a, delta from
+    abar.  A buffer takes the next term as soon as its own is spent: six
+    full-size arrays, h included, are alive at most, and after the ZOH
+    terms no new one is allocated (a fresh buffer costs about as much as
+    the product written into it, in page faults).
+    """
+    ad, bd, dd, xd, cd = a.data, b.data, delta.data, x.data, c_seq.data
+    nd, every = h.ndim, slice(None)
+    a_c, b_c, d_c, x_c, c_c, g_c = (_chunk(v, nd, every) for v in (ad, bd, dd, xd[..., None], cd, g[..., None]))
+    pair = tuple(range(2, nd)) + (0, 1)  # G + (L, N), the layout of discretize's products
+    u, phi = _zoh_factor(a_c, b_c, d_c)
+    abar = np.exp(u)
+    dphi = _phi_prime(u, abar)
+    bbar = _bbar(phi, d_c, b_c, u)
+    del u
+
+    # selective_scan's backward: dh, then the gradients of x, c_seq and d_skip
+    dh = np.empty_like(h)
+    np.multiply(g_c, c_c, out=dh)
+    _linear_recurrence(abar, dh, reverse=True)
+    gx = np.empty_like(xd)
+    p = _into(bbar, np.multiply, dh, bbar)
+    skip = np.broadcast_to(np.asarray(d_skip.data), h.shape[2:])
+    np.add(_sum_terms(p.swapaxes(0, 1)), g_c[:, 0] * skip, out=np.moveaxis(gx, -1, 0))
+    p = _into(p, np.multiply, g_c, h)
+    gc = np.zeros_like(cd)
+    _lmajor(gc)[...] += _sum_to(p, _lmajor(gc).shape, (0,) + pair[:-2] + (1,))
+    _accumulate(x, gx)
+    _accumulate(c_seq, gc)
+    _accumulate(d_skip, _unbroadcast((g * xd).sum(axis=-1), d_skip.data.shape))
+    del gx, gc, g_c, c_c
+
+    # discretize's abar backward, whose sums are accumulated last
+    gu = _reuse(p, abar.dtype)  # abar's gradient, then its u-part
+    np.multiply(dh[:1], 0.0, out=gu[:1])  # h[-1] = 0
+    np.multiply(dh[1:], h[:-1], out=gu[1:])
+    np.multiply(gu, abar, out=gu)
+    p = _into(abar, np.multiply, gu, d_c)
+    ga_abar = _sum_to(p, ad.shape, pair)
+    gd_abar = _sum_to(_into(gu, np.multiply, gu, a_c), dd.shape, pair)
+
+    # discretize's bbar backward; b is broadcast to full size for its two products
+    gbb = np.multiply(dh, x_c, out=_reuse(dh, np.result_type(phi, b_c)))  # bbar's gradient
+    del dh, x_c
+    gp = _into(gu, np.multiply, gbb, phi)
+    b_full = _reuse(p, b_c.dtype)
+    b_full[...] = b_c
+    p = _into(phi, np.multiply, gp, d_c)
+    _accumulate(b, _sum_to(p, bd.shape, pair))
+    gu = _into(gbb, np.multiply, gbb, d_c)
+    gu = _into(gu, np.multiply, gu, b_full)
+    gu = _into(gu, np.multiply, gu, dphi)
+    p = _into(p, np.multiply, gu, d_c)
+    _accumulate(a, _sum_to(p, ad.shape, pair))
+    gp = _into(gp, np.multiply, gp, b_full)
+    gu = _into(gu, np.multiply, gu, a_c)
+    _accumulate(delta, _sum_to(_into(gp, np.add, gp, gu), dd.shape, pair))
+    _accumulate(a, ga_abar)
+    _accumulate(delta, gd_abar)
 
 
 def zoh_scan(x, a, b, c_seq, delta, d_skip):
     """``selective_scan(x, *discretize(a, b, delta), c_seq, d_skip)``, on tensors.
 
-    When the result would be taped it runs exactly that pair.  Otherwise
-    discretization is fused into the scan: each L-chunk of about
+    Discretization is fused into the scan: each L-chunk of about
     ``_CHUNK_ELEMS`` elements forms its own abar, bbar and states in the
     ``(L, N) + G`` layout, and only the last state carries into the next
-    chunk.  Both ways give the same bits, and for one faulty input the same
-    error under the same op name.
+    chunk.  When the result is taped the states are kept, in one
+    ``(L, N) + G`` array, and ``_fused_backward`` re-forms the rest.  The
+    output and every gradient have the pair's bits, and for one faulty
+    input the same error under the same op name.
     """
-    if _needs_grad((x, a, b, c_seq, delta, d_skip)):
-        return selective_scan(x, *discretize(a, b, delta), c_seq, d_skip)
+    parents = (x, a, b, c_seq, delta, d_skip)
     ad, bd, dd, xd, cd = a.data, b.data, delta.data, x.data, c_seq.data
     shape = _zoh_shape(ad, bd, dd)
     want = _scan_shape(xd.shape, shape, shape, cd.shape)
     skip = np.broadcast_to(np.asarray(d_skip.data), want[:-2])
     y = np.empty_like(xd)
     y_l = np.moveaxis(y, -1, 0)
+    taped = _needs_grad(parents)
+    h = np.empty(want[-2:] + want[:-2], np.result_type(xd, ad, bd, dd)) if taped else None
     h0 = None
     for s in _l_chunks(y_l.shape + want[-1:]):
         parts = (_chunk(v, len(want), s) for v in (ad, bd, dd, xd[..., None], cd))
-        h0 = _fused_chunk(*parts, skip, h0, y_l[s])
+        h0 = _fused_chunk(*parts, skip, h0, y_l[s], None if h is None else h[s])
     _add_macs(y.size * (3 * want[-1] + 1))
-    return _record(y, (x, a, b, c_seq, delta, d_skip), None, "selective_scan")
+    bwd = (lambda g: _fused_backward(g, *parents, h)) if taped else None
+    return _record(y, parents, bwd, "selective_scan")
 
 
 def lti_kernel_scan(x, abar, bbar, c, d):

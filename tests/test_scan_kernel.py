@@ -135,6 +135,8 @@ CASES = [
     # N past 8 and past 128: the remainder and split branches of the N-sum
     (6, (2, 3), 11, 13, np.float32, True, True),
     (7, (2,), 5, 130, np.float64, False, False),
+    # C past 8: b and c are summed over C in order, where numpy would add a contiguous C pairwise
+    (8, (2, 9), 12, 8, np.float32, True, True),
 ]
 
 
@@ -215,6 +217,67 @@ def test_zoh_scan_bit_equal_to_pair(case, steps, monkeypatch):
     np.testing.assert_array_equal(got, want)
 
 
+def _taped(scan, arrays, dtype, float64=(), held=False):
+    """y and the gradients of a, b, delta, x, c and d of one taped scan under
+    a weighted-sum loss.  ``float64`` lists the indices into ``arrays`` of
+    leaves held in float64; with ``held``, a and delta hold a gradient before
+    the backward pass.
+    """
+    a, b, delta, x, c, d, w = (_leaf(v, np.float64 if i in float64 else dtype) for i, v in enumerate(arrays))
+    if held:
+        rng = np.random.default_rng(10)
+        for t in (a, delta):
+            scale = 10.0 ** rng.uniform(-4.0, 1.0, t.data.shape)  # as large as either sum, or smaller
+            t.grad = (rng.standard_normal(t.data.shape) * scale).astype(t.data.dtype)
+    y = scan(x, a, b, c, delta, d)
+    backward(T.sum_all(T.mul(y, w)))
+    return [y.data] + [t.grad for t in (a, b, delta, x, c, d)]
+
+
+def _assert_same_bits(got, want):
+    for name, g, r in zip(("y", "a", "b", "delta", "x", "c_seq", "d_skip"), got, want):
+        assert g is not None and (g.dtype, g.shape, g.strides) == (r.dtype, r.shape, r.strides), name
+        np.testing.assert_array_equal(g, r, err_msg=name)
+        assert g.tobytes() == r.tobytes(), f"{name}: the sign of a zero differs"
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"G{c[1]}-L{c[2]}-N{c[3]}-{np.dtype(c[4]).name}")
+@pytest.mark.parametrize("steps", [None, 1, 3, 5], ids=["default", "1step", "3steps", "5steps"])
+def test_taped_zoh_scan_bit_equal_to_reference(case, steps, monkeypatch):
+    arrays, dtype = _case(*case)
+    if steps is not None:
+        # forward chunk boundaries every ``steps`` steps of the G + (L, N) broadcast shape
+        monkeypatch.setattr(ssm, "_CHUNK_ELEMS", steps * int(np.prod(case[1])) * case[3])
+    _assert_same_bits(_taped(ssm.zoh_scan, arrays, dtype), _taped(reference_zoh_scan, arrays, dtype))
+
+
+def test_taped_zoh_scan_bit_equal_to_reference_with_mixed_dtypes():
+    arrays, _ = _case(*CASES[0])
+    float64 = (1, 3, 4)  # b, x and c: bbar, h, dh and their products change dtype
+    got = _taped(ssm.zoh_scan, arrays, np.float32, float64)
+    _assert_same_bits(got, _taped(reference_zoh_scan, arrays, np.float32, float64))
+    assert got[0].dtype == np.float64 and got[1].dtype == np.float32
+
+
+@pytest.mark.parametrize("case", [CASES[1], CASES[6]], ids=["float32", "float32-N13"])
+def test_taped_zoh_scan_adds_to_held_gradients_in_tape_order(case):
+    # a and delta take one sum from bbar's backward, then one from abar's
+    arrays, dtype = _case(*case)
+    got = _taped(ssm.zoh_scan, arrays, dtype, held=True)
+    _assert_same_bits(got, _taped(reference_zoh_scan, arrays, dtype, held=True))
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"G{c[1]}-L{c[2]}-N{c[3]}-{np.dtype(c[4]).name}")
+def test_taped_zoh_scan_keeps_the_pairs_signed_zeros(case):
+    # no loss on the last steps: their gradient terms are zeros of either
+    # sign, which the pair keeps or turns into +0.0 as its sums start from 0
+    # (the reference's dh starts from 0 too, so it differs from the pair here)
+    arrays, dtype = _case(*case)
+    arrays[6] = arrays[6].copy()
+    arrays[6][..., -3:] = 0.0
+    _assert_same_bits(_taped(ssm.zoh_scan, arrays, dtype), _taped(_pair, arrays, dtype))
+
+
 def test_zoh_scan_bit_equal_to_pair_with_mixed_dtypes():
     arrays, _ = _case(*CASES[0])
     a, b, delta, x, c, d, _ = (Tensor(v, dtype=np.float32) for v in arrays)
@@ -243,8 +306,8 @@ def test_sum_terms_bit_equal_to_numpy_sum(dtype):
         np.testing.assert_array_equal(got.view(int_type), want.view(int_type), err_msg=f"N={n}")
 
 
-def test_untaped_scan_keeps_no_chunk_buffers():
-    # level 0 of the default network at packed 64: L = 4096 spans 8 chunks
+def _level0_packed64(requires_grad):
+    """zoh_scan operands at level 0 of the default network at packed 64: L = 4096 spans 8 chunks."""
     k, c, n, L = 8, 8, 8, 64 * 64
     rng = np.random.default_rng(2)
     args = [
@@ -255,7 +318,11 @@ def test_untaped_scan_keeps_no_chunk_buffers():
         np.exp(rng.uniform(-5.0, -1.0, (k, c, L, 1))),
         rng.standard_normal((k, c)),
     ]
-    args = [Tensor(v, dtype=np.float32) for v in args]
+    return [Tensor(v, requires_grad=requires_grad, dtype=np.float32) for v in args], k * c * L * n * 4
+
+
+def test_untaped_scan_keeps_no_chunk_buffers():
+    args, _ = _level0_packed64(requires_grad=False)
     was_enabled = gc.isenabled()
     gc.disable()  # a buffer held in a reference cycle stays until a collection
     tracemalloc.start()
@@ -270,6 +337,31 @@ def test_untaped_scan_keeps_no_chunk_buffers():
         if was_enabled:
             gc.enable()
     assert after - before <= 64 * 1024, f"{(after - before) / 1024:.0f} KB still held"
+
+
+def test_taped_scan_tape_and_backward_memory():
+    # The taped pair kept u, the ZOH factor, abar, bbar and the states (5.1
+    # full (K, C, L, N) arrays with y) and peaked at 11.9 in backward.
+    args, full = _level0_packed64(requires_grad=True)
+    w = Tensor(np.random.default_rng(3).standard_normal(args[0].shape).astype(np.float32))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        y = ssm.zoh_scan(*args)
+        kept, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        backward(T.sum_all(T.mul(y, w)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    # the states and y
+    assert kept - before <= 1.25 * full, f"tape keeps {(kept - before) / full:.2f} full arrays"
+    # the states, at most five full-size terms, and the gradients
+    assert peak - before <= 8 * full, f"backward peak {(peak - before) / full:.2f} full arrays"
 
 
 def test_zoh_scan_bit_equal_to_pair_in_a_scan_block(monkeypatch):
