@@ -18,35 +18,31 @@ step-invariant the same map is a causal convolution with kernel
 ``lti_kernel_scan`` evaluates that form independently so the two paths can
 be checked against each other.
 
-Layout.  The public shapes are ``G + (L, N)`` (G any leading shape).
-``discretize`` and ``selective_scan``, the taped pair that the tests and
-the gradient check hold ``zoh_scan`` to, work in the L-major layout
-``(L,) + G + (N,)``: one step of the recurrence is then one contiguous
-``G + (N,)`` block.  ``discretize`` writes ``abar`` and ``bbar`` into
-L-major buffers and returns ``G + (L, N)`` views of them;
-``selective_scan`` copies an input that is not L-major once.  One helper,
-``_linear_recurrence``, runs h[k] += a[k] h[k-1] in place, two ufunc calls
-per step; the forward pass runs it on bbar x and the backward pass runs it
-reversed on g c, which gives the adjoint state dh (a reversed linear
-recurrence with the same multipliers).
+Reference and kernel.  The public shapes are ``G + (L, N)`` (G any leading
+shape).  ``discretize`` and ``selective_scan`` are the plain reference: the
+ZOH factor by ``np.where`` branches, and one Python step per element of the
+sequence, forward and backward.  ``zoh_scan``, the network's one scan op,
+is the kernel: the tests hold it, taped or not, to
+``selective_scan(x, *discretize(a, b, delta), c_seq, d_skip)`` bit for bit.
 
-``zoh_scan``, the network's one scan op, works in the ``(L, N) + G``
-layout instead (``(L, N, K, C)`` in the network), taped or not.  delta and
-x have no N axis, so in ``(L,) + G + (N,)`` each product with them
-broadcasts over the short innermost N axis and runs one N-long inner loop
-per element of G; with N ahead of G those products run long contiguous
-inner loops, and each recurrence step is still one contiguous ``N + G``
-block.  The pair's sums keep their order: numpy sums the contiguous last
-axis N pairwise and every other axis in order, so ``_sum_terms`` writes
-the pairwise order out as explicit adds over N, and ``_sum_to`` sums L in
-order over the outer axis 0 and the broadcast G axis of b and c (C,
-innermost here) by adds in order.
+``zoh_scan`` works in the ``(L, N) + G`` layout (``(L, N, K, C)`` in the
+network).  delta and x have no N axis, so with N ahead of G their products
+run long contiguous inner loops, and each recurrence step is one
+contiguous ``N + G`` block.  One helper, ``_linear_recurrence``, runs
+h[k] += a[k] h[k-1] in place, two ufunc calls per step; the forward pass
+runs it on bbar x and the backward pass runs it reversed on g c, which
+gives the adjoint state dh (a reversed linear recurrence with the same
+multipliers).  The reference's sums keep their order: numpy sums the
+contiguous last axis N pairwise and every other axis in order, so
+``_sum_terms`` writes the pairwise order out as explicit adds over N, and
+``_sum_to`` sums L in order over the outer axis 0 and the broadcast G axis
+of b and c (C, innermost here) by adds in order.
 
 Every value and gradient is computed with the same per-element operations
-in the same order as the plain step-by-step recurrence, so results do not
-depend on the layout; returned gradients keep the memory layout of the
-plain recurrence (``G + (L, N)`` C order, ``c_seq``'s own layout for its
-gradient), because the sums downstream of them add in memory order.
+in the same order as the reference, so results do not depend on the
+layout; returned gradients keep the reference's memory layout (``G + (L,
+N)`` C order, ``c_seq``'s own layout for its gradient), because the sums
+downstream of them add in memory order.
 
 Memory.  ``zoh_scan``'s forward walks the sequence in L-chunks of about
 ``_CHUNK_ELEMS`` elements (512 steps at level 0 of the default network).
@@ -56,10 +52,10 @@ and states in two C-contiguous chunk buffers (abar = exp(u) in u's buffer,
 then h c there; bbar in the ZOH factor's, then the states), writes its
 part of y, and hands only its last state to the next chunk.  The chunk's
 buffers are freed when it returns, not left in a reference cycle for the
-garbage collector.  Untaped, it never forms a full ``(L,) + G + (N,)``
+garbage collector.  Untaped, it never forms a full-size ``(L, N) + G``
 array.  Taped, the chunks write their states into one full ``(L, N) + G``
-array, the only one the tape keeps (the pair kept u, the ZOH factor, abar,
-bbar and the states).  The backward is one whole-sequence chunk: it
+array, the only one the tape keeps (the reference keeps u, the ZOH factor,
+abar, bbar and the states).  The backward is one whole-sequence chunk: it
 re-forms the ZOH terms from the inputs and holds at most six full-size
 arrays at once, the states included.
 """
@@ -75,20 +71,9 @@ from .tensor import Tensor, _accumulate, _add_macs, _check_finite, _needs_grad, 
 # series to avoid the removable singularity at u = 0.
 ZOH_TAYLOR_THRESHOLD = 1e-4
 
-# Elements per block of the whole-array passes that reduce over N or scan
-# for small |u|, and per L-chunk of ``zoh_scan``'s forward: bounds their
-# temporaries to a few MB.
+# Elements per L-chunk of ``zoh_scan``'s forward and per block of the search
+# for small |u| in ``_with_series``: bounds their temporaries to a few MB.
 _CHUNK_ELEMS = 1 << 18
-
-
-def _lmajor(arr):
-    """The ``(L,) + G + (N,)`` view of a ``G + (L, N)`` array (below 2-D: itself)."""
-    return np.moveaxis(arr, -2, 0) if arr.ndim >= 2 else arr
-
-
-def _from_lmajor(arr):
-    """Inverse of ``_lmajor``."""
-    return np.moveaxis(arr, 0, -2) if arr.ndim >= 2 else arr
 
 
 def _l_chunks(shape):
@@ -147,29 +132,43 @@ def _zoh_factor(a, b, delta):
     return u, _phi(u)
 
 
-def _bbar(phi, delta, b, buf=None):
+def _bbar(phi, delta, b, buf):
     """bbar = phi delta b, in ``buf`` (which may be phi's) when it holds bbar's dtype, else in a new buffer."""
-    dtype = np.result_type(phi, b)
-    bbar = np.empty(phi.shape, dtype) if buf is None else _reuse(buf, dtype)
+    bbar = _reuse(buf, np.result_type(phi, b))
     np.multiply(phi, delta, out=bbar)
     return np.multiply(bbar, b, out=bbar)
 
 
-def discretize(a, b, delta):
-    """Zero-order-hold discretization; inputs broadcast elementwise.
+def _reference_phi(u):
+    """(exp(u) - 1) / u by ``np.where`` branches, with its Taylor series near u = 0."""
+    small = np.abs(u) < ZOH_TAYLOR_THRESHOLD
+    safe = np.where(small, 1.0, u)
+    return np.where(small, 1.0 + u / 2.0 + (u * u) / 6.0, np.expm1(safe) / safe)
 
-    Returns (abar, bbar), views of L-major buffers (see the module notes).
-    Requires delta >= 0 everywhere.  delta = 0 (float32 softplus underflows
-    to it) gives the exact limit abar = 1, bbar = 0, through the Taylor
-    branch of the ZOH factor.
+
+def _reference_phi_prime(u):
+    """d/du of ``_reference_phi``."""
+    small = np.abs(u) < ZOH_TAYLOR_THRESHOLD
+    safe = np.where(small, 1.0, u)
+    return np.where(small, 0.5 + u / 3.0 + (u * u) / 8.0, (safe * np.exp(safe) - np.expm1(safe)) / (safe * safe))
+
+
+def discretize(a, b, delta):
+    """Zero-order-hold discretization, the reference; inputs broadcast elementwise.
+
+    Returns (abar, bbar), both over the broadcast shape of the three inputs.
+    The ZOH factor takes its ``np.where`` branches apart from ``zoh_scan``'s
+    ``_phi``, so the two share no ZOH arithmetic.  Requires delta >= 0
+    everywhere.  delta = 0 (float32 softplus underflows to it) gives the
+    exact limit abar = 1, bbar = 0, through the Taylor branch.
     """
     a, b, delta = (v if isinstance(v, Tensor) else Tensor(v) for v in (a, b, delta))
     ad, bd, dd = a.data, b.data, delta.data
     shape = _zoh_shape(ad, bd, dd)
-    a_l, b_l, d_l = (_lmajor(np.broadcast_to(v, shape)) for v in (ad, bd, dd))
-    u, phi = _zoh_factor(a_l, b_l, d_l)
-    abar_buf, bbar_buf = np.exp(u), _bbar(phi, d_l, b_l)
-    abar_data, bbar_data = _from_lmajor(abar_buf), _from_lmajor(bbar_buf)
+    u = np.broadcast_to(dd * ad, shape)
+    abar_data = np.exp(u)
+    phi = _reference_phi(u)
+    bbar_data = phi * dd * bd
 
     def bwd_abar(g):
         gu = g * abar_data
@@ -177,12 +176,10 @@ def discretize(a, b, delta):
         _accumulate(delta, _unbroadcast(gu * ad, dd.shape))
 
     def bwd_bbar(g):
-        phi_v = _from_lmajor(phi)
-        _accumulate(b, _unbroadcast(g * phi_v * dd, bd.shape))
-        gphi = g * dd * bd
-        gu = gphi * _from_lmajor(_phi_prime(u, abar_buf))
+        _accumulate(b, _unbroadcast(g * phi * dd, bd.shape))
+        gu = g * dd * bd * _reference_phi_prime(u)
         _accumulate(a, _unbroadcast(gu * dd, ad.shape))
-        _accumulate(delta, _unbroadcast(g * phi_v * bd + gu * ad, dd.shape))
+        _accumulate(delta, _unbroadcast(g * phi * bd + gu * ad, dd.shape))
 
     abar = _record(abar_data, (a, delta), bwd_abar, "discretize.abar")
     bbar = _record(bbar_data, (a, b, delta), bwd_bbar, "discretize.bbar")
@@ -194,7 +191,7 @@ def _linear_recurrence(a, h, reverse=False):
 
     With ``reverse`` it runs from the end instead, h[k] += a[k+1] h[k+1]
     for k = L-2 .. 0: the adjoint of the forward recurrence.  ``a`` and
-    ``h`` are L-major and C-contiguous, so each step is two ufunc calls on
+    ``h`` are C-contiguous with L first, so each step is two ufunc calls on
     contiguous blocks.
     """
     if len(h) < 2:
@@ -223,7 +220,7 @@ def _scan_shape(x_shape, abar_shape, bbar_shape, c_shape):
 
 
 def selective_scan(x, abar, bbar, c_seq, d_skip):
-    """Sequential state-space recurrence along the last axis of ``x``.
+    """Sequential state-space recurrence along the last axis of ``x``, the reference.
 
     Shapes, with G any leading shape (e.g. (channels,) or (dirs, channels)):
 
@@ -233,43 +230,37 @@ def selective_scan(x, abar, bbar, c_seq, d_skip):
         c_seq  broadcastable to G + (L, N) (leading axes may be 1)
         d_skip broadcastable to G
 
-    Returns y with the shape of ``x``.  h[-1] = 0.
+    Returns y with the shape of ``x``.  h[-1] = 0.  One Python step per
+    sequence element updates the state and the output, and in the backward
+    pass the adjoint state dh and every gradient.  The states take the dtype
+    of x, abar and bbar together.
     """
-    xd = x.data
-    ad, bd, cd = abar.data, bbar.data, c_seq.data
+    xd, ad, bd, cd = x.data, abar.data, bbar.data, c_seq.data
     want = _scan_shape(xd.shape, ad.shape, bd.shape, cd.shape)
+    L = want[-2]
     dd = np.broadcast_to(np.asarray(d_skip.data), want[:-2])
-    x_l = np.moveaxis(xd, -1, 0)
-    a_l = np.ascontiguousarray(_lmajor(ad))
-    b_l, c_l = _lmajor(bd), _lmajor(cd)
+    hs = np.empty(want, dtype=np.result_type(xd, ad, bd))
     y = np.empty_like(xd)
-    y_l = np.moveaxis(y, -1, 0)
-    # the states start as bbar x and the recurrence adds the carried part
-    h = np.empty(a_l.shape, dtype=np.result_type(x_l, a_l, b_l))
-    np.multiply(b_l, x_l[..., None], out=h)
-    _linear_recurrence(a_l, h)
-    for s in _l_chunks(h.shape):
-        np.add((h[s] * c_l[s]).sum(axis=-1), dd * x_l[s], out=y_l[s])
-    _add_macs(y.size * (3 * h.shape[-1] + 1))
+    for k in range(L):
+        hs[..., k, :] = bd[..., k, :] * xd[..., k, None]
+        if k:
+            hs[..., k, :] += ad[..., k, :] * hs[..., k - 1, :]
+        y[..., k] = (hs[..., k, :] * cd[..., k, :]).sum(axis=-1) + dd * xd[..., k]
+    _add_macs(y.size * (3 * want[-1] + 1))
 
     def bwd(g):
-        g_l = np.moveaxis(g, -1, 0)
-        dh = np.empty_like(h)
-        np.multiply(g_l[..., None], c_l, out=dh)
-        _linear_recurrence(a_l, dh, reverse=True)
-        ga = np.empty(want, dtype=ad.dtype)
-        ga_l = _lmajor(ga)
-        np.multiply(dh[:1], 0.0, out=ga_l[:1])  # h[-1] = 0
-        np.multiply(dh[1:], h[:-1], out=ga_l[1:])
-        gb = np.empty(want, dtype=bd.dtype)
-        np.multiply(dh, x_l[..., None], out=_lmajor(gb))
         gx = np.empty_like(xd)
-        gx_l = np.moveaxis(gx, -1, 0)
+        ga = np.empty(want, dtype=ad.dtype)
+        gb = np.empty(want, dtype=bd.dtype)
         gc = np.zeros_like(cd)
-        gc_l = _lmajor(gc)
-        for s in _l_chunks(h.shape):
-            np.add((dh[s] * b_l[s]).sum(axis=-1), g_l[s] * dd, out=gx_l[s])
-            gc_l[s] += _unbroadcast(g_l[s][..., None] * h[s], gc_l[s].shape)
+        for k in range(L - 1, -1, -1):
+            gk = g[..., k, None]
+            # the last step's dh is its g c alone, which keeps a -0.0
+            dh = gk * cd[..., k, :] if k == L - 1 else dh * ad[..., k + 1, :] + gk * cd[..., k, :]
+            gc[..., k, :] += _unbroadcast(gk * hs[..., k, :], gc[..., k, :].shape)
+            ga[..., k, :] = dh * (hs[..., k - 1, :] if k else 0.0)
+            gb[..., k, :] = dh * xd[..., k, None]
+            gx[..., k] = (dh * bd[..., k, :]).sum(axis=-1) + g[..., k] * dd
         _accumulate(x, gx)
         _accumulate(abar, ga)
         _accumulate(bbar, gb)
@@ -365,7 +356,9 @@ def _fused_chunk(a_c, b_c, d_c, x_c, c_c, skip, h0, y_c, h=None):
 def _sum_to(p, shape, order):
     """``_unbroadcast(q, shape)``, bit for bit, where ``q`` is ``p`` (a
     product in the ``(L, N) + G`` layout) copied C-contiguous into the axis
-    order ``order``, the layout in which the taped pair forms that product.
+    order ``order``, the layout in which the reference sums that product:
+    ``G + (L, N)`` for ``discretize``'s products, and ``(L,) + G + (N,)``
+    for c_seq's, which ``selective_scan`` forms one step at a time.
 
     numpy sums a broadcast axis in order there, except the contiguous last
     axis N, which it sums pairwise.  So a sum over one axis, with N > 1, is
@@ -426,7 +419,7 @@ def _fused_backward(g, x, a, b, c_seq, delta, d_skip, h):
     np.add(_sum_terms(p.swapaxes(0, 1)), g_c[:, 0] * skip, out=np.moveaxis(gx, -1, 0))
     p = _into(p, np.multiply, g_c, h)
     gc = np.zeros_like(cd)
-    _lmajor(gc)[...] += _sum_to(p, _lmajor(gc).shape, (0,) + pair[:-2] + (1,))
+    np.moveaxis(gc, -2, 0)[...] += _sum_to(p, np.moveaxis(gc, -2, 0).shape, (0,) + pair[:-2] + (1,))
     _accumulate(x, gx)
     _accumulate(c_seq, gc)
     _accumulate(d_skip, _unbroadcast((g * xd).sum(axis=-1), d_skip.data.shape))
@@ -469,7 +462,7 @@ def zoh_scan(x, a, b, c_seq, delta, d_skip):
     ``(L, N) + G`` layout, and only the last state carries into the next
     chunk.  When the result is taped the states are kept, in one
     ``(L, N) + G`` array, and ``_fused_backward`` re-forms the rest.  The
-    output and every gradient have the pair's bits, and for one faulty
+    output and every gradient have the reference's bits, and for one faulty
     input the same error under the same op name.
     """
     parents = (x, a, b, c_seq, delta, d_skip)

@@ -1,12 +1,11 @@
-"""The L-major scan kernels against the plain step-by-step recurrence.
+"""``ssm.zoh_scan``, the network's one scan kernel, against the reference.
 
-``reference_discretize`` and ``reference_selective_scan`` are the
-straightforward forms of ZOH discretization and the selective scan: full
-``np.where`` branches for the ZOH factor, and one Python step per sequence
-element that updates the state, the output and, in the backward pass,
-every gradient.  ``nightscan.ssm`` computes the same per-element
-arithmetic in the same order, so values and gradients must be equal, not
-merely close.
+The reference is ``ssm.selective_scan(x, *ssm.discretize(a, b, delta),
+c_seq, d_skip)``: full ``np.where`` branches for the ZOH factor, and one
+Python step per sequence element that updates the state, the output and, in
+the backward pass, every gradient.  ``zoh_scan`` computes the same
+per-element arithmetic in the same order, so its values and gradients must
+have the same bytes, signed zeros included, not merely be close.
 """
 
 import gc
@@ -19,108 +18,36 @@ from nightscan import blocks, ssm
 from nightscan import tensor as T
 from nightscan.blocks import DirectionalScan2d
 from nightscan.model import NetworkConfig, TwoStageNet
-from nightscan.tensor import Tensor, _accumulate, _add_macs, _record, _unbroadcast, backward, no_grad
-
-
-def _ref_phi(u):
-    small = np.abs(u) < ssm.ZOH_TAYLOR_THRESHOLD
-    u_safe = np.where(small, 1.0, u)
-    return np.where(small, 1.0 + u / 2.0 + (u * u) / 6.0, np.expm1(u_safe) / u_safe)
-
-
-def _ref_phi_prime(u):
-    small = np.abs(u) < ssm.ZOH_TAYLOR_THRESHOLD
-    u_safe = np.where(small, 1.0, u)
-    exact = (u_safe * np.exp(u_safe) - np.expm1(u_safe)) / (u_safe * u_safe)
-    return np.where(small, 0.5 + u / 3.0 + (u * u) / 8.0, exact)
-
-
-def reference_discretize(a, b, delta):
-    ad, bd, dd = a.data, b.data, delta.data
-    u = dd * ad
-    abar_data = np.exp(u)
-    phi = _ref_phi(u)
-    bbar_data = phi * dd * bd
-
-    def bwd_abar(g):
-        gu = g * abar_data
-        _accumulate(a, _unbroadcast(gu * dd, ad.shape))
-        _accumulate(delta, _unbroadcast(gu * ad, dd.shape))
-
-    def bwd_bbar(g):
-        _accumulate(b, _unbroadcast(g * phi * dd, bd.shape))
-        gphi = g * dd * bd
-        gu = gphi * _ref_phi_prime(u)
-        _accumulate(a, _unbroadcast(gu * dd, ad.shape))
-        _accumulate(delta, _unbroadcast(g * phi * bd + gu * ad, dd.shape))
-
-    abar = _record(abar_data, (a, delta), bwd_abar, "discretize.abar")
-    bbar = _record(bbar_data, (a, b, delta), bwd_bbar, "discretize.bbar")
-    return abar, bbar
-
-
-def reference_selective_scan(x, abar, bbar, c_seq, d_skip):
-    lead = x.data.shape[:-1]
-    L = x.data.shape[-1]
-    n = abar.data.shape[-1]
-    xd = x.data
-    ad, bd, cd = abar.data, bbar.data, c_seq.data
-    dd = np.broadcast_to(np.asarray(d_skip.data), lead)
-
-    h_all = np.empty(lead + (L, n), dtype=xd.dtype)
-    y = np.empty_like(xd)
-    h = np.zeros(lead + (n,), dtype=xd.dtype)
-    for k in range(L):
-        h = ad[..., k, :] * h + bd[..., k, :] * xd[..., k, None]
-        h_all[..., k, :] = h
-        y[..., k] = (h * cd[..., k, :]).sum(axis=-1) + dd * xd[..., k]
-    _add_macs(int(np.prod(lead, dtype=np.int64)) * L * (3 * n + 1))
-
-    def bwd(g):
-        gx = np.empty_like(xd)
-        ga = np.empty_like(ad)
-        gb = np.empty_like(bd)
-        gc = np.zeros_like(cd)
-        dh = np.zeros(lead + (n,), dtype=xd.dtype)
-        for k in range(L - 1, -1, -1):
-            dh = dh + g[..., k, None] * cd[..., k, :]
-            gc[..., k, :] += _unbroadcast(g[..., k, None] * h_all[..., k, :], cd[..., k, :].shape)
-            h_prev = h_all[..., k - 1, :] if k > 0 else 0.0
-            ga[..., k, :] = dh * h_prev
-            gb[..., k, :] = dh * xd[..., k, None]
-            gx[..., k] = (dh * bd[..., k, :]).sum(axis=-1) + g[..., k] * dd
-            dh = dh * ad[..., k, :]
-        _accumulate(x, gx)
-        _accumulate(abar, ga)
-        _accumulate(bbar, gb)
-        _accumulate(c_seq, gc)
-        _accumulate(d_skip, _unbroadcast((g * xd).sum(axis=-1), d_skip.data.shape))
-
-    return _record(y, (x, abar, bbar, c_seq, d_skip), bwd, "selective_scan")
+from nightscan.tensor import Tensor, backward, no_grad
 
 
 def reference_zoh_scan(x, a, b, c_seq, delta, d_skip):
-    return reference_selective_scan(x, *reference_discretize(a, b, delta), c_seq, d_skip)
+    return ssm.selective_scan(x, *ssm.discretize(a, b, delta), c_seq, d_skip)
 
 
 def _leaf(arr, dtype):
     return Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
 
 
-def _case(seed, lead, L, n, dtype, c_broadcast, small_u):
-    """Inputs of one discretize + scan pair, shaped as DirectionalScan2d makes them."""
+def _case(seed, lead, L, n, dtype, c_broadcast, small_u, *variants):
+    """Inputs of one scan, shaped as DirectionalScan2d makes them unless
+    ``variants`` name other shapes or a zero loss tail."""
     rng = np.random.default_rng(seed)
-    a = -np.exp(rng.standard_normal(lead + (1, n)))
-    delta = np.exp(rng.uniform(np.log(1e-3), np.log(0.5), lead + (L, 1)))
+    full = "full-a-delta" in variants
+    a = -np.exp(rng.standard_normal(lead + (L if full else 1, n)))
+    delta = np.exp(rng.uniform(np.log(1e-3), np.log(0.5), lead + (L, n if full else 1)))
     if small_u:
         # a quarter of the steps land below the Taylor threshold
         delta[..., ::4, :] = rng.uniform(1e-7, 5e-5, delta[..., ::4, :].shape)
-    b = rng.standard_normal(lead[:-1] + (1, L, n))
+    b = rng.standard_normal((n,) if "1d-b" in variants else lead[:-1] + (1, L, n))
     c_lead = lead[:-1] + (1,) if c_broadcast else lead
-    c = rng.standard_normal(c_lead + (L, n))
+    c = rng.standard_normal(((1,) * len(lead) if "c-1-1" in variants else c_lead) + (L, n))
     x = rng.standard_normal(lead + (L,))
     d = rng.standard_normal(lead)
     w = rng.standard_normal(lead + (L,))
+    if "zero-tail" in variants:
+        # no loss on the last steps: their gradient terms are zeros of either sign
+        w[..., -3:] = 0.0
     return [a, b, delta, x, c, d, w], dtype
 
 
@@ -139,33 +66,31 @@ CASES = [
     (8, (2, 9), 12, 8, np.float32, True, True),
 ]
 
+# Broadcast shapes whose gradients ``ssm._sum_to`` sums on a copy in the
+# reference's layout, or over C in order: full-size a and delta, a 1-D b of
+# shape (N,), c of shape (1, 1, L, N), N = 1 with C = 9, and a 1-D G.
+BROADCAST_CASES = [
+    (seed, lead, L, n, dtype, True, True) + variant
+    for seed, (lead, L, n, variant) in enumerate(
+        [
+            ((2, 3), 8, 4, ("full-a-delta",)),
+            ((2, 3), 7, 5, ("1d-b",)),
+            ((2, 3), 9, 6, ("c-1-1",)),
+            ((2, 9), 10, 1, ()),
+            ((5,), 10, 6, ()),
+        ],
+        start=9,
+    )
+    for dtype in (np.float32, np.float64)
+]
 
-def _run_pair(disc, scan, arrays, dtype, l_major_inputs):
-    """abar, bbar, y and the gradients of the leaves of one pair under a weighted-sum loss."""
-    a, b, delta, x, c, d, w = (_leaf(v, dtype) for v in arrays)
-    abar, bbar = disc(a, b, delta)
-    leaves = [a, b, delta]
-    if not l_major_inputs:
-        # C-contiguous leaves, as callers outside the network pass them
-        abar, bbar = (_leaf(np.ascontiguousarray(t.data), dtype) for t in (abar, bbar))
-        leaves = [abar, bbar]
-    y = scan(x, abar, bbar, c, d)
-    backward(T.sum_all(T.mul(y, w)))
-    return abar.data, bbar.data, y.data, [t.grad for t in leaves + [x, c, d]]
+# Zero loss weights on all 3 steps: every gradient term is a zero of either
+# sign, which the reference keeps, or turns into +0.0 where its sums start from 0
+SIGNED_ZERO_CASE = (9, (2, 3), 3, 8, np.float32, True, True, "full-a-delta", "zero-tail")
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: f"G{c[1]}-L{c[2]}-N{c[3]}-{np.dtype(c[4]).name}")
-@pytest.mark.parametrize("l_major_inputs", [True, False], ids=["lmajor", "contiguous"])
-def test_kernels_bit_equal_to_reference(case, l_major_inputs):
-    arrays, dtype = _case(*case)
-    got = _run_pair(ssm.discretize, ssm.selective_scan, arrays, dtype, l_major_inputs)
-    ref = _run_pair(reference_discretize, reference_selective_scan, arrays, dtype, l_major_inputs)
-    for name, g, r in zip(("abar", "bbar", "y"), got[:3], ref[:3]):
-        assert g.dtype == r.dtype and g.shape == r.shape, name
-        np.testing.assert_array_equal(g, r, err_msg=name)
-    for i, (g, r) in enumerate(zip(got[3], ref[3])):
-        assert g is not None and g.dtype == r.dtype and g.shape == r.shape, i
-        np.testing.assert_array_equal(g, r, err_msg=f"gradient {i}")
+def _id(case):
+    return f"G{case[1]}-L{case[2]}-N{case[3]}-{np.dtype(case[4]).name}" + "".join(f"-{v}" for v in case[7:])
 
 
 def test_small_u_cases_reach_the_series():
@@ -174,12 +99,12 @@ def test_small_u_cases_reach_the_series():
     assert (np.abs(a * delta) < ssm.ZOH_TAYLOR_THRESHOLD).any()
 
 
-def test_discretize_returns_views_of_l_major_buffers():
-    arrays, dtype = _case(*CASES[4])
-    with no_grad():
-        abar, bbar = ssm.discretize(*(Tensor(v, dtype=dtype) for v in arrays[:3]))
-    for t in (abar, bbar):
-        assert np.moveaxis(t.data, -2, 0).flags.c_contiguous
+def _assert_same_bits(got, want, names=("y", "a", "b", "delta", "x", "c_seq", "d_skip")):
+    assert len(got) == len(want) <= len(names)
+    for name, g, r in zip(names, got, want):
+        assert g is not None and (g.dtype, g.shape, g.strides) == (r.dtype, r.shape, r.strides), name
+        np.testing.assert_array_equal(g, r, err_msg=name)
+        assert g.tobytes() == r.tobytes(), f"{name}: the sign of a zero differs"
 
 
 def test_linear_recurrence_both_directions():
@@ -194,15 +119,10 @@ def test_linear_recurrence_both_directions():
         want_f[k] = want_f[k] + a[k] * want_f[k - 1]
     for k in range(4, -1, -1):
         want_r[k] = want_r[k] + a[k + 1] * want_r[k + 1]
-    np.testing.assert_array_equal(fwd, want_f)
-    np.testing.assert_array_equal(rev, want_r)
+    _assert_same_bits([fwd, rev], [want_f, want_r], ("forward", "reverse"))
 
 
-def _pair(x, a, b, c_seq, delta, d_skip):
-    return ssm.selective_scan(x, *ssm.discretize(a, b, delta), c_seq, d_skip)
-
-
-@pytest.mark.parametrize("case", CASES, ids=lambda c: f"G{c[1]}-L{c[2]}-N{c[3]}-{np.dtype(c[4]).name}")
+@pytest.mark.parametrize("case", CASES + BROADCAST_CASES, ids=_id)
 @pytest.mark.parametrize("steps", [None, 1, 3, 5], ids=["default", "1step", "3steps", "5steps"])
 def test_zoh_scan_bit_equal_to_pair(case, steps, monkeypatch):
     arrays, dtype = _case(*case)
@@ -212,9 +132,8 @@ def test_zoh_scan_bit_equal_to_pair(case, steps, monkeypatch):
         monkeypatch.setattr(ssm, "_CHUNK_ELEMS", steps * int(np.prod(case[1])) * case[3])
     with no_grad():
         got = ssm.zoh_scan(x, a, b, c, delta, d).data
-        want = _pair(x, a, b, c, delta, d).data
-    assert got.dtype == want.dtype and got.shape == want.shape
-    np.testing.assert_array_equal(got, want)
+        want = reference_zoh_scan(x, a, b, c, delta, d).data
+    _assert_same_bits([got], [want])
 
 
 def _taped(scan, arrays, dtype, float64=(), held=False):
@@ -234,14 +153,7 @@ def _taped(scan, arrays, dtype, float64=(), held=False):
     return [y.data] + [t.grad for t in (a, b, delta, x, c, d)]
 
 
-def _assert_same_bits(got, want):
-    for name, g, r in zip(("y", "a", "b", "delta", "x", "c_seq", "d_skip"), got, want):
-        assert g is not None and (g.dtype, g.shape, g.strides) == (r.dtype, r.shape, r.strides), name
-        np.testing.assert_array_equal(g, r, err_msg=name)
-        assert g.tobytes() == r.tobytes(), f"{name}: the sign of a zero differs"
-
-
-@pytest.mark.parametrize("case", CASES, ids=lambda c: f"G{c[1]}-L{c[2]}-N{c[3]}-{np.dtype(c[4]).name}")
+@pytest.mark.parametrize("case", CASES + BROADCAST_CASES + [SIGNED_ZERO_CASE], ids=_id)
 @pytest.mark.parametrize("steps", [None, 1, 3, 5], ids=["default", "1step", "3steps", "5steps"])
 def test_taped_zoh_scan_bit_equal_to_reference(case, steps, monkeypatch):
     arrays, dtype = _case(*case)
@@ -267,17 +179,6 @@ def test_taped_zoh_scan_adds_to_held_gradients_in_tape_order(case):
     _assert_same_bits(got, _taped(reference_zoh_scan, arrays, dtype, held=True))
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: f"G{c[1]}-L{c[2]}-N{c[3]}-{np.dtype(c[4]).name}")
-def test_taped_zoh_scan_keeps_the_pairs_signed_zeros(case):
-    # no loss on the last steps: their gradient terms are zeros of either
-    # sign, which the pair keeps or turns into +0.0 as its sums start from 0
-    # (the reference's dh starts from 0 too, so it differs from the pair here)
-    arrays, dtype = _case(*case)
-    arrays[6] = arrays[6].copy()
-    arrays[6][..., -3:] = 0.0
-    _assert_same_bits(_taped(ssm.zoh_scan, arrays, dtype), _taped(_pair, arrays, dtype))
-
-
 def test_zoh_scan_bit_equal_to_pair_with_mixed_dtypes():
     arrays, _ = _case(*CASES[0])
     a, b, delta, x, c, d, _ = (Tensor(v, dtype=np.float32) for v in arrays)
@@ -286,9 +187,9 @@ def test_zoh_scan_bit_equal_to_pair_with_mixed_dtypes():
         t.data = t.data.astype(np.float64)
     with no_grad():
         got = ssm.zoh_scan(x, a, b, c, delta, d).data
-        want = _pair(x, a, b, c, delta, d).data
+        want = reference_zoh_scan(x, a, b, c, delta, d).data
     assert got.dtype == want.dtype == np.float64
-    np.testing.assert_array_equal(got, want)
+    _assert_same_bits([got], [want])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -373,9 +274,9 @@ def test_zoh_scan_bit_equal_to_pair_in_a_scan_block(monkeypatch):
     assert side * side * 8 * channels * n > 4 * ssm._CHUNK_ELEMS
     with no_grad():
         got = mixer(x).data
-        monkeypatch.setattr(blocks, "zoh_scan", _pair)
+        monkeypatch.setattr(blocks, "zoh_scan", reference_zoh_scan)
         want = mixer(x).data
-    np.testing.assert_array_equal(got, want)
+    _assert_same_bits([got], [want])
 
 
 def _mean_sq_err(y, target):
@@ -401,11 +302,9 @@ def test_network_bit_equal_to_reference(monkeypatch):
     monkeypatch.setattr(blocks, "zoh_scan", reference_zoh_scan)
     ref = run()
 
-    for got, want in zip(fast[0], ref[0]):
-        np.testing.assert_array_equal(got, want)
+    _assert_same_bits(fast[0], ref[0], ("o1", "o2"))
     assert list(fast[1]) == list(ref[1])
-    for name, g in ref[1].items():
-        np.testing.assert_array_equal(fast[1][name], g, err_msg=name)
+    _assert_same_bits(list(fast[1].values()), list(ref[1].values()), list(ref[1]))
 
 
 def test_no_grad_scan_block_peak_memory():
