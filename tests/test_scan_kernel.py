@@ -179,6 +179,14 @@ def test_taped_zoh_scan_adds_to_held_gradients_in_tape_order(case):
     _assert_same_bits(got, _taped(reference_zoh_scan, arrays, dtype, held=True))
 
 
+@pytest.mark.parametrize("case", CASES, ids=_id)
+def test_taped_zoh_scan_keeps_the_pairs_signed_zeros(case):
+    # no loss on the last steps: their gradient terms are zeros of either
+    # sign, which the reference keeps or turns into +0.0 as its sums start from 0
+    arrays, dtype = _case(*case, "zero-tail")
+    _assert_same_bits(_taped(ssm.zoh_scan, arrays, dtype), _taped(reference_zoh_scan, arrays, dtype))
+
+
 def test_zoh_scan_bit_equal_to_pair_with_mixed_dtypes():
     arrays, _ = _case(*CASES[0])
     a, b, delta, x, c, d, _ = (Tensor(v, dtype=np.float32) for v in arrays)
