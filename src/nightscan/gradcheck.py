@@ -117,12 +117,12 @@ def primitive_cases():
         g, b = _leaf(rng, (4,)), _leaf(rng, (4,))
         return (lambda: _mean_sq(T.layer_norm(x, g, b))), {"x": x, "gamma": g, "beta": b}
 
-    def conv_case(stride):
+    def conv_case(k, stride):
         def make(rng):
             x = _leaf(rng, (2, 4, 4))
-            w = _leaf(rng, (3, 2, 3, 3))
+            w = _leaf(rng, (3, 2, k, k))
             b = _leaf(rng, (3,))
-            return (lambda: _mean_sq(T.conv2d(x, w, b, stride=stride, padding=1))), {"x": x, "w": w, "b": b}
+            return (lambda: _mean_sq(T.conv2d(x, w, b, stride=stride, padding=(k - 1) // 2))), {"x": x, "w": w, "b": b}
 
         return make
 
@@ -190,8 +190,10 @@ def primitive_cases():
         ("concat_channels", concat_case),
         ("matmul", matmul_case),
         ("layer_norm", layer_norm_case),
-        ("conv2d_s1", conv_case(1)),
-        ("conv2d_s2", conv_case(2)),
+        ("conv2d_s1", conv_case(3, 1)),
+        ("conv2d_s2", conv_case(3, 2)),
+        ("conv2d_1x1", conv_case(1, 1)),
+        ("conv2d_5x5", conv_case(5, 1)),
         ("conv_transpose2d", conv_transpose_case),
         ("multi_gather", multi_gather_case),
         ("multi_scatter", multi_scatter_case),

@@ -428,14 +428,26 @@ COL2IM_CACHE_ENTRIES = 64
 
 
 def _im2col(arr, k, stride, pad):
+    """(C, H, W) -> the C-contiguous (C*k*k, H'*W') matrix of k x k windows.
+
+    The (c, ki, kj, oi, oj) windows are one strided view of a C-contiguous
+    zero-padded copy, or of the input itself when there is no padding, and
+    ``reshape`` copies them once.  A 1 x 1 stride-1 kernel needs no copy, so
+    its matrix is a view of a contiguous input, which the tape then holds at
+    no extra cost.
+    """
     c, h, w = arr.shape
     if pad:
-        arr = np.pad(arr, ((0, 0), (pad, pad), (pad, pad)))
-    windows = np.lib.stride_tricks.sliding_window_view(arr, (k, k), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    ho, wo = windows.shape[1], windows.shape[2]
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo)
-    return np.ascontiguousarray(cols), ho, wo
+        padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=arr.dtype)
+        padded[:, pad:pad + h, pad:pad + w] = arr
+        arr = padded
+    else:
+        arr = np.ascontiguousarray(arr)
+    ho = (arr.shape[1] - k) // stride + 1
+    wo = (arr.shape[2] - k) // stride + 1
+    sc, sh, sw = arr.strides
+    windows = np.ndarray((c, k, k, ho, wo), arr.dtype, arr, 0, (sc, sh, sw, sh * stride, sw * stride))
+    return windows.reshape(c * k * k, ho * wo), ho, wo
 
 
 @lru_cache(maxsize=COL2IM_CACHE_ENTRIES)
@@ -478,6 +490,8 @@ def conv2d(x, w, b, stride=1, padding=0):
         raise DimensionError(f"conv2d input channels {x.data.shape[0]} != weight {ci}")
     if b.data.shape != (co,):
         raise DimensionError("conv2d bias must be shaped (C_out,)")
+    if min(x.data.shape[1:]) + 2 * padding < kh:
+        raise DimensionError(f"conv2d kernel {kh} does not fit {x.data.shape[1:]} padded by {padding}")
 
     k = kh
     cols, ho, wo = _im2col(x.data, k, stride, padding)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -97,33 +98,73 @@ def cosine_lr(step, total_steps, lr_init, lr_final, horizon=None):
 
 
 class AdamW:
-    """Adam with betas (0.9, 0.999), eps 1e-8 and no weight decay.  Aborts on
-    non-finite gradients; parameters without a gradient are skipped."""
+    """Adam with betas (0.9, 0.999), eps 1e-8 and no weight decay.
+
+    The moments ``m`` and ``v`` of all parameters of one dtype are two flat
+    buffers.  A step gathers the gradients with one ``concatenate`` per run
+    of consecutive parameters that have one, then runs the elementwise
+    update in place over each run, which gives every value the bits of a
+    loop over the parameters.  Parameters without a gradient keep their data
+    and moments.  A step with a non-finite gradient raises ``NumericError``
+    before it changes anything.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, named_params):
         self.named = list(named_params)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for _, p in self.named]
-        self._v = [np.zeros_like(p.data) for _, p in self.named]
+        by_dtype = {}
+        for i, (_, p) in enumerate(self.named):
+            by_dtype.setdefault(p.data.dtype, []).append(i)
+        # per dtype: (index, start, end) of each member in the flat m and v
+        self._groups = []
+        for dtype, idx in by_dtype.items():
+            ends = np.cumsum([self.named[i][1].data.size for i in idx]).tolist()
+            members = list(zip(idx, [0] + ends[:-1], ends))
+            self._groups.append((members, np.zeros(ends[-1], dtype), np.zeros(ends[-1], dtype)))
 
     def step(self, lr):
+        grads = []
+        for name, p in self.named:
+            if p.grad is not None and p.grad.shape != p.data.shape:
+                raise DimensionError(f"gradient of shape {p.grad.shape} for parameter {name!r} of shape {p.data.shape}")
+            grads.append(p.grad)
+        runs = []
+        for members, m, v in self._groups:
+            # the gathered gradients and the scratch live for one step: kept
+            # between steps they would add to the peak memory of the backward pass
+            g, s = np.empty_like(m), np.empty_like(m)
+            for has_grad, run in itertools.groupby(members, lambda member: grads[member[0]] is not None):
+                if has_grad:
+                    run = list(run)
+                    part = [buf[run[0][1]:run[-1][2]] for buf in (m, v, g, s)]
+                    np.concatenate([grads[i] for i, _, _ in run], axis=None, out=part[2])
+                    runs.append((run, g, part))
+        if not all(np.isfinite(part[2]).all() for _, _, part in runs):
+            name = next(name for (name, _), g in zip(self.named, grads) if g is not None and not np.isfinite(g).all())
+            raise NumericError(f"non-finite gradient for parameter {name!r} at step {self.t + 1}")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for (name, p), m, v in zip(self.named, self._m, self._v):
-            g = p.grad
-            if g is None:
-                continue
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for parameter {name!r} at step {self.t}")
+        for run, update, (m, v, g, s) in runs:
+            # products are written array-first; IEEE multiplication commutes,
+            # so every value keeps the bits of (1 - beta) * g and (1 - beta2) * (g * g)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=s)
+            m += s
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - lr * update
+            np.multiply(g, g, out=s)
+            s *= 1.0 - self.beta2
+            v += s
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, bc1, out=g)
+            g /= s
+            for i, lo, hi in run:
+                p = self.named[i][1]
+                p.data = p.data - lr * update[lo:hi].reshape(p.data.shape)
 
 
 def evaluate(net: TwoStageNet, dataset: SyntheticDataset):

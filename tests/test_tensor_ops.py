@@ -54,6 +54,23 @@ class TestBackward:
         assert x.grad == pytest.approx(12.0)
 
 
+def _reference_im2col(arr, k, stride, pad):
+    """The ``np.pad`` + ``sliding_window_view`` construction of the column matrix."""
+    c = arr.shape[0]
+    if pad:
+        arr = np.pad(arr, ((0, 0), (pad, pad), (pad, pad)))
+    windows = np.lib.stride_tricks.sliding_window_view(arr, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    ho, wo = windows.shape[1], windows.shape[2]
+    return np.ascontiguousarray(windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo)), ho, wo
+
+
+def _layouts(rng, c, h, w, dtype):
+    """The same (C, H, W) values C-contiguous, as a transposed view and as a reversed strided slice."""
+    yield rng.standard_normal((c, h, w)).astype(dtype)
+    yield np.ascontiguousarray(rng.standard_normal((c, h, w)).astype(dtype).transpose(2, 1, 0)).transpose(2, 1, 0)
+    yield rng.standard_normal((c, 2 * h, w)).astype(dtype)[:, ::-2, :]
+
+
 class TestConv2d:
     def test_ones_kernel_overlap_counts(self):
         x = Tensor(np.ones((1, 3, 3)))
@@ -93,6 +110,21 @@ class TestConv2d:
             fd = (fp - fm) / (2 * eps)
             assert abs(fd - gflat[i]) / max(1.0, abs(fd)) < 1e-3
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("same", [False, True], ids=["pad0", "same-pad"])
+    def test_im2col_bytes_equal_reference(self, rng, k, stride, same):
+        pad = (k - 1) // 2 if same else 0
+        for h, w in [(5, 5), (7, 8), (8, 6)]:
+            for dtype in (np.float32, np.float64):
+                for arr in _layouts(rng, 3, h, w, dtype):
+                    cols, ho, wo = T._im2col(arr, k, stride, pad)
+                    ref, rho, rwo = _reference_im2col(arr, k, stride, pad)
+                    assert (ho, wo) == (rho, rwo)
+                    assert cols.flags.c_contiguous
+                    assert (cols.dtype, cols.shape) == (ref.dtype, ref.shape)
+                    assert cols.tobytes() == ref.tobytes()
+
     def test_stride2_output_size(self, rng):
         x = Tensor(rng.standard_normal((2, 8, 8)))
         w = Tensor(rng.standard_normal((4, 2, 3, 3)))
@@ -110,6 +142,14 @@ class TestConv2d:
         w = Tensor(rng.standard_normal((1, 2, 3, 3)))
         with pytest.raises(DimensionError):
             T.conv2d(x, w, None, padding=1)
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_kernel_larger_than_padded_input_rejected(self, rng, size):
+        x = Tensor(rng.standard_normal((1, size, 6)))
+        w = Tensor(rng.standard_normal((2, 1, 5, 5)))
+        with pytest.raises(DimensionError, match="does not fit"):
+            T.conv2d(x, w, Tensor(np.zeros(2)))
+        assert T.conv2d(x, w, Tensor(np.zeros(2)), padding=1).shape == (2, size - 2, 4)
 
     def test_transposed_conv_inverts_downsample_shape(self, rng):
         x = Tensor(rng.standard_normal((3, 4, 4)))

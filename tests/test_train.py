@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nightscan.data import gen_synthetic
-from nightscan.errors import ConfigError, NumericError
+from nightscan.errors import ConfigError, DimensionError, NumericError
 from nightscan.model import NetworkConfig, dataclass_from_dict
 from nightscan.tensor import Tensor, backward
 from nightscan.train import (
@@ -88,6 +88,39 @@ class TestSchedule:
             TrainConfig(lr_init=1e-5, lr_final=1e-4)
 
 
+class ReferenceAdamW:
+    """The per-parameter AdamW loop that the fused update is held to."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params):
+        self.named = list(named_params)
+        self.t = 0
+        self._m = [np.zeros_like(p.data) for _, p in self.named]
+        self._v = [np.zeros_like(p.data) for _, p in self.named]
+
+    def step(self, lr):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for (_, p), m, v in zip(self.named, self._m, self._v):
+            g = p.grad
+            if g is None:
+                continue
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data = p.data - lr * update
+
+
+def _twin_params(rng, specs):
+    """Two lists of named parameters holding the same values."""
+    values = [rng.standard_normal(shape).astype(dtype) for shape, dtype in specs]
+    return [[(f"p{i}", Tensor(v.copy(), requires_grad=True)) for i, v in enumerate(values)] for _ in range(2)]
+
+
 class TestAdamW:
     def test_zero_gradient_keeps_params(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
@@ -102,6 +135,74 @@ class TestAdamW:
         opt = AdamW([("weights.w", p)])
         with pytest.raises(NumericError, match="weights.w"):
             opt.step(1e-3)
+
+    def test_refused_step_changes_nothing(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0]), requires_grad=True)
+        a.grad, b.grad = np.array([0.5, -0.5]), np.array([np.nan])
+        opt = AdamW([("a", a), ("b", b)])
+        held = a.data
+        with pytest.raises(NumericError, match="'b' at step 1"):
+            opt.step(0.1)
+        assert a.data is held
+        np.testing.assert_array_equal(a.data, [1.0, 2.0])
+        np.testing.assert_array_equal(b.data, [3.0])
+        assert opt.t == 0
+        # the moments are untouched too: the next good step is a first step
+        ref_a, ref_b = Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0]))
+        ref = ReferenceAdamW([("a", ref_a), ("b", ref_b)])
+        for opt_, (p, q) in ((opt, (a, b)), (ref, (ref_a, ref_b))):
+            p.grad, q.grad = np.array([0.5, -0.5]), np.array([0.25])
+            opt_.step(0.1)
+        assert a.data.tobytes() == ref_a.data.tobytes() and b.data.tobytes() == ref_b.data.tobytes()
+        assert opt.t == 1
+
+    def test_refused_step_names_first_non_finite_parameter_in_order(self):
+        named = [
+            ("a", Tensor(np.zeros(2), requires_grad=True)),
+            ("b", Tensor(np.zeros(2, np.float32), requires_grad=True)),
+            ("c", Tensor(np.zeros(2), requires_grad=True)),
+        ]
+        for (_, p), g in zip(named, ([0.0, 1.0], [np.inf, 0.0], [np.nan, 0.0])):
+            p.grad = np.array(g, dtype=p.data.dtype)
+        with pytest.raises(NumericError, match="'b'"):
+            AdamW(named).step(1e-3)
+
+    def test_gradient_of_wrong_shape_rejected(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        p.grad = np.zeros((2, 1))
+        with pytest.raises(DimensionError, match="'w'"):
+            AdamW([("w", p)]).step(1e-3)
+
+    def test_fused_update_bit_equal_to_per_parameter_loop(self, rng):
+        specs = [((3, 4), np.float32), ((5,), np.float64), ((2, 3, 1, 1), np.float32),
+                 ((7,), np.float64), ((1,), np.float32), ((4, 2), np.float32)]
+        named, ref_named = _twin_params(rng, specs)
+        opt, ref = AdamW(named), ReferenceAdamW(ref_named)
+        for step in range(6):
+            grads = [rng.standard_normal(shape).astype(dtype) for shape, dtype in specs]
+            if step in (1, 3, 4):
+                grads[2] = None  # a gap inside the float32 group
+            if step == 3:
+                grads[0] = None  # and at its start
+            held = [p.data for _, p in named]
+            copies = [h.copy() for h in held]
+            for (_, p), (_, q), g in zip(named, ref_named, grads):
+                p.grad = g
+                q.grad = None if g is None else g.copy()
+            lr = cosine_lr(step, 6, 0.1, 1e-3)
+            opt.step(lr)
+            ref.step(lr)
+            for (_, p), (_, q), g, h, c in zip(named, ref_named, grads, held, copies):
+                assert (p.data.dtype, p.data.shape) == (q.data.dtype, q.data.shape)
+                assert p.data.tobytes() == q.data.tobytes()
+                assert h.tobytes() == c.tobytes()
+                if g is None:
+                    assert p.data is h
+                else:
+                    assert not np.shares_memory(p.data, h)
+                    assert p.data.flags.c_contiguous and p.data.flags.writeable
+        assert opt.t == ref.t == 6
 
     def test_quadratic_convergence_within_500_steps(self):
         w = Tensor(np.array([0.0]), requires_grad=True)
