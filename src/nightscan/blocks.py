@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DimensionError
 from .scan import stacked_orders
-from .ssm import zoh_scan
+from .ssm import zoh_scan, zoh_scan_chunks
 from .tensor import Tensor
 
 
@@ -126,6 +126,12 @@ class DirectionalScan2d(Module):
     direction order (pairwise tree).  Per direction the parameters are a
     full-rank step-size projection, rank-N input/output projections shared
     across channels, a per-channel diagonal decay spectrum, and a skip gain.
+
+    When nothing is taped, the directional sequences and their projections
+    are never formed whole: each L-chunk of the scan gathers its own steps
+    and projects them (``ssm.zoh_scan_chunks``), so the scan output is the
+    only full ``(K, C, L)`` array.  Taped, the sequences and projections are
+    formed whole and kept for the backward pass.
     """
 
     def __init__(self, channels, state_dim, direction_idx, *, rng, dtype):
@@ -148,21 +154,43 @@ class DirectionalScan2d(Module):
         k = len(self.direction_idx)
         n = self.a_log.shape[-1]
         length = h * w
-        orders_all, invs_all = stacked_orders(h, w)
-        idx = np.asarray(self.direction_idx)
-        orders, invs = orders_all[idx], invs_all[idx]
+        # a leading run of directions (1, 4 or 8 of them) is a view of the cached stacks
+        pick = slice(k) if self.direction_idx == tuple(range(k)) else list(self.direction_idx)
+        orders, invs = (stack[pick] for stack in stacked_orders(h, w))
 
         flat = T.reshape(x, (c, length))
-        seqs = T.multi_gather(flat, orders, invs)
-        delta = T.softplus(T.add(T.matmul(self.wd, seqs), self.bd))
-        b_seq = T.matmul(self.wb, seqs)
-        c_seq = T.matmul(self.wc, seqs)
-        a = T.reshape(T.neg(T.exp(self.a_log)), (k, c, 1, n))
-        bs = T.reshape(T.transpose(b_seq, (0, 2, 1)), (k, 1, length, n))
-        delta = T.reshape(delta, (k, c, length, 1))
-        cs = T.reshape(T.transpose(c_seq, (0, 2, 1)), (k, 1, length, n))
-        y = zoh_scan(seqs, a, bs, cs, delta, self.d_skip)
+        if not T._needs_grad((x, *self.params())):
+            y = self._scan_by_chunks(flat.data, orders)
+        else:
+            seqs = T.multi_gather(flat, orders, invs)
+            delta, b_seq, c_seq = self._project(seqs)
+            a = T.reshape(T.neg(T.exp(self.a_log)), (k, c, 1, n))
+            bs = T.reshape(T.transpose(b_seq, (0, 2, 1)), (k, 1, length, n))
+            delta = T.reshape(delta, (k, c, length, 1))
+            cs = T.reshape(T.transpose(c_seq, (0, 2, 1)), (k, 1, length, n))
+            y = zoh_scan(seqs, a, bs, cs, delta, self.d_skip)
         return T.reshape(T.multi_scatter(y, orders, invs), (c, h, w))
+
+    def _project(self, seqs):
+        """The step sizes softplus(wd x + bd) and the projections wb x and wc x of (K, C, L) sequences x."""
+        return T.softplus(T.add(T.matmul(self.wd, seqs), self.bd)), T.matmul(self.wb, seqs), T.matmul(self.wc, seqs)
+
+    def _scan_by_chunks(self, flat, orders):
+        """The untaped scan of the (C, L) array ``flat``: each L-chunk gathers
+        its steps of the directional sequences and projects them through the
+        tensor primitives, which check and count them as on the taped path.
+        """
+        k, (c, length), n = len(orders), flat.shape, self.a_log.shape[-1]
+        a = T.reshape(T.neg(T.exp(self.a_log)), (k, c, 1, n)).data
+
+        def operands(s):
+            seqs = Tensor(T._expand(flat, orders[:, s]))
+            delta, b_seq, c_seq = self._project(seqs)
+            # (K, N, Ls) projections as (K, 1, Ls, N) views, delta as (K, C, Ls, 1)
+            bs, cs = (t.data.transpose(0, 2, 1)[:, None] for t in (b_seq, c_seq))
+            return seqs.data, a, bs, cs, delta.data[..., None]
+
+        return zoh_scan_chunks(operands, (k, c, length, n), flat.dtype, self.d_skip)
 
 
 class GatedScanBlock(Module):

@@ -21,9 +21,11 @@ be checked against each other.
 Reference and kernel.  The public shapes are ``G + (L, N)`` (G any leading
 shape).  ``discretize`` and ``selective_scan`` are the plain reference: the
 ZOH factor by ``np.where`` branches, and one Python step per element of the
-sequence, forward and backward.  ``zoh_scan``, the network's one scan op,
-is the kernel: the tests hold it, taped or not, to
+sequence, forward and backward.  ``zoh_scan`` is the kernel: the tests
+hold it, taped or not, to
 ``selective_scan(x, *discretize(a, b, delta), c_seq, d_skip)`` bit for bit.
+``zoh_scan_chunks`` runs its untaped forward on operands a caller forms
+chunk by chunk.
 
 ``zoh_scan`` works in the ``(L, N) + G`` layout (``(L, N, K, C)`` in the
 network).  delta and x have no N axis, so with N ahead of G their products
@@ -44,9 +46,14 @@ layout; returned gradients keep the reference's memory layout (``G + (L,
 N)`` C order, ``c_seq``'s own layout for its gradient), because the sums
 downstream of them add in memory order.
 
-Memory.  ``zoh_scan``'s forward walks the sequence in L-chunks of about
-``_CHUNK_ELEMS`` elements (512 steps at level 0 of the default network).
-Each copies its own slices of delta, x, b and c (size-1 axes kept, so
+Memory.  The forward walks the sequence in L-chunks of about
+``_CHUNK_ELEMS`` elements (512 steps at level 0 of the default network; a
+shorter remainder joins the last chunk).  Each chunk asks a source for its
+steps of x, a, b, c and delta: ``zoh_scan``'s source slices its full
+inputs, and ``zoh_scan_chunks`` takes the caller's, through which an
+untaped ``DirectionalScan2d`` gathers and projects each chunk's steps as
+the chunk runs, so y is its only full-length sequence array.  A chunk
+copies its operands into the ``(L, N) + G`` layout (size-1 axes kept, so
 nothing is broadcast to full size), forms its u, ZOH factor, abar, bbar
 and states in two C-contiguous chunk buffers (abar = exp(u) in u's buffer,
 then h c there; bbar in the ZOH factor's, then the states), writes its
@@ -77,9 +84,18 @@ _CHUNK_ELEMS = 1 << 18
 
 
 def _l_chunks(shape):
-    """Slices of axis 0 of an array of ``shape`` holding about ``_CHUNK_ELEMS`` elements each."""
+    """Slices of axis 0 of an array of ``shape`` holding about ``_CHUNK_ELEMS`` elements each.
+
+    A shorter remainder joins the chunk before it.  A chunk of one step
+    would make ``DirectionalScan2d``'s per-chunk projections one-column
+    matrix products, which BLAS runs with another kernel (gemv) whose
+    rounding differs from the whole sequence's product.
+    """
     step = max(1, _CHUNK_ELEMS // max(1, int(np.prod(shape[1:]))))
-    return [slice(i, i + step) for i in range(0, shape[0], step)]
+    starts = list(range(0, shape[0], step))
+    if len(starts) > 1 and shape[0] % step:
+        starts.pop()
+    return [slice(i, j) for i, j in zip(starts, starts[1:] + [shape[0]])]
 
 
 def _with_series(out, u, series):
@@ -309,13 +325,19 @@ def _sum_terms(p):
     return total
 
 
-def _chunk(arr, ndim, s):
-    """Steps ``s`` of an array broadcastable to a ``G + (L, N)`` shape of
-    ``ndim`` axes, copied C-contiguous in the ``(L, N) + G`` layout; axes of
-    size 1 stay size 1.
+def _steps(arr, s):
+    """Steps ``s`` of an array broadcastable to a ``G + (L, N)`` shape, as a
+    view; an L axis of size 1 (or none) is kept whole.
     """
-    v = np.moveaxis(arr.reshape((1,) * (ndim - arr.ndim) + arr.shape), (-2, -1), (0, 1))
-    return np.ascontiguousarray(v if len(v) == 1 else v[s])
+    return arr if arr.ndim < 2 or arr.shape[-2] == 1 else arr[..., s, :]
+
+
+def _chunk(arr, ndim):
+    """An array broadcastable to a ``G + (L, N)`` shape of ``ndim`` axes,
+    copied C-contiguous in the ``(L, N) + G`` layout; axes of size 1 stay
+    size 1.
+    """
+    return np.ascontiguousarray(np.moveaxis(arr.reshape((1,) * (ndim - arr.ndim) + arr.shape), (-2, -1), (0, 1)))
 
 
 def _reuse(buf, dtype):
@@ -400,8 +422,8 @@ def _fused_backward(g, x, a, b, c_seq, delta, d_skip, h):
     the product written into it, in page faults).
     """
     ad, bd, dd, xd, cd = a.data, b.data, delta.data, x.data, c_seq.data
-    nd, every = h.ndim, slice(None)
-    a_c, b_c, d_c, x_c, c_c, g_c = (_chunk(v, nd, every) for v in (ad, bd, dd, xd[..., None], cd, g[..., None]))
+    nd = h.ndim
+    a_c, b_c, d_c, x_c, c_c, g_c = (_chunk(v, nd) for v in (ad, bd, dd, xd[..., None], cd, g[..., None]))
     pair = tuple(range(2, nd)) + (0, 1)  # G + (L, N), the layout of discretize's products
     u, phi = _zoh_factor(a_c, b_c, d_c)
     abar = np.exp(u)
@@ -454,6 +476,25 @@ def _fused_backward(g, x, a, b, c_seq, delta, d_skip, h):
     _accumulate(delta, gd_abar)
 
 
+def _run_chunks(operands, shape, skip, y, h=None):
+    """``zoh_scan``'s forward over a scan of broadcast shape ``shape`` =
+    G + (L, N), one L-chunk at a time: writes y (G + (L,)) and, given ``h``,
+    the states into it.
+
+    ``operands(s)`` gives steps ``s`` of x, a, b, c_seq and delta, shaped as
+    ``zoh_scan`` takes them (L axes of size 1 allowed); each chunk copies
+    them into the ``(L, N) + G`` layout.
+    """
+    y_l = np.moveaxis(y, -1, 0)
+    nd = len(shape)
+    h0 = None
+    for s in _l_chunks(y_l.shape + shape[-1:]):
+        x, a, b, c_seq, delta = operands(s)
+        parts = (_chunk(v, nd) for v in (a, b, delta, x[..., None], c_seq))
+        h0 = _fused_chunk(*parts, skip, h0, y_l[s], None if h is None else h[s])
+    _add_macs(y.size * (3 * shape[-1] + 1))
+
+
 def zoh_scan(x, a, b, c_seq, delta, d_skip):
     """``selective_scan(x, *discretize(a, b, delta), c_seq, d_skip)``, on tensors.
 
@@ -471,16 +512,27 @@ def zoh_scan(x, a, b, c_seq, delta, d_skip):
     want = _scan_shape(xd.shape, shape, shape, cd.shape)
     skip = np.broadcast_to(np.asarray(d_skip.data), want[:-2])
     y = np.empty_like(xd)
-    y_l = np.moveaxis(y, -1, 0)
     taped = _needs_grad(parents)
     h = np.empty(want[-2:] + want[:-2], np.result_type(xd, ad, bd, dd)) if taped else None
-    h0 = None
-    for s in _l_chunks(y_l.shape + want[-1:]):
-        parts = (_chunk(v, len(want), s) for v in (ad, bd, dd, xd[..., None], cd))
-        h0 = _fused_chunk(*parts, skip, h0, y_l[s], None if h is None else h[s])
-    _add_macs(y.size * (3 * want[-1] + 1))
+    _run_chunks(lambda s: (xd[..., s],) + tuple(_steps(v, s) for v in (ad, bd, cd, dd)), want, skip, y, h)
     bwd = (lambda g: _fused_backward(g, *parents, h)) if taped else None
     return _record(y, parents, bwd, "selective_scan")
+
+
+def zoh_scan_chunks(operands, shape, dtype, d_skip):
+    """An untaped ``zoh_scan`` whose operands are formed one L-chunk at a time.
+
+    ``shape`` is the scan's broadcast shape G + (L, N).  ``operands(s)``
+    gives steps ``s`` (a slice of L) of x, a, b, c_seq and delta as numpy
+    arrays shaped as ``zoh_scan`` takes them, with delta >= 0; it is called
+    once per chunk, in order.  Returns y, of ``dtype`` and shape G + (L,),
+    as a tensor that records no tape entry.  y is the only full-length
+    array formed here, so a caller that builds each chunk's operands on
+    demand never holds its sequences whole.
+    """
+    y = np.empty(shape[:-1], dtype)
+    _run_chunks(operands, shape, np.broadcast_to(np.asarray(d_skip.data), shape[:-2]), y)
+    return _record(y, (), None, "selective_scan")
 
 
 def lti_kernel_scan(x, abar, bbar, c, d):

@@ -547,11 +547,27 @@ def _expand(arr, orders):
 
 
 def _merge(arr, inverses):
-    """(K, C, L) -> (C, L): un-permute each direction, then sum in a fixed pairwise tree."""
-    parts = [np.take(arr[i], inverses[i], axis=-1) for i in range(len(inverses))]
-    while len(parts) > 1:
-        parts = [parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i] for i in range(0, len(parts), 2)]
-    return parts[0]
+    """(K, C, L) -> (C, L): un-permute each direction, then sum in a fixed pairwise tree.
+
+    The tree adds neighbours in rounds, an odd one out passing up a round.
+    Directions are taken one at a time: two partial sums of the same height
+    are added as soon as both exist, and what is left at the end is added
+    from right to left, which is the same tree with at most one partial sum
+    per height alive.
+    """
+    stack = []  # (height, partial sum), heights strictly decreasing
+    for i in range(len(inverses)):
+        part, height = np.take(arr[i], inverses[i], axis=-1), 0
+        while stack and stack[-1][0] == height:
+            left = stack.pop()[1]
+            left += part
+            part, height = left, height + 1
+        stack.append((height, part))
+    total = stack.pop()[1]
+    for _, left in reversed(stack):
+        left += total
+        total = left
+    return total
 
 
 def multi_gather(a, orders, inverses):

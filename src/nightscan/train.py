@@ -125,6 +125,7 @@ class AdamW:
             self._groups.append((members, np.zeros(ends[-1], dtype), np.zeros(ends[-1], dtype)))
 
     def step(self, lr):
+        lr = float(lr)  # a NumPy float64 would turn float32 parameters into float64
         grads = []
         for name, p in self.named:
             if p.grad is not None and p.grad.shape != p.data.shape:

@@ -8,6 +8,7 @@ per-element arithmetic in the same order, so its values and gradients must
 have the same bytes, signed zeros included, not merely be close.
 """
 
+import contextlib
 import gc
 import tracemalloc
 
@@ -17,7 +18,9 @@ import pytest
 from nightscan import blocks, ssm
 from nightscan import tensor as T
 from nightscan.blocks import DirectionalScan2d
+from nightscan.errors import NumericError
 from nightscan.model import NetworkConfig, TwoStageNet
+from nightscan.scan import DIRECTION_SUBSETS
 from nightscan.tensor import Tensor, backward, no_grad
 
 
@@ -273,18 +276,63 @@ def test_taped_scan_tape_and_backward_memory():
     assert peak - before <= 8 * full, f"backward peak {(peak - before) / full:.2f} full arrays"
 
 
+def _mixer(channels, side, directions, dtype, seed=1):
+    rng = np.random.default_rng(seed)
+    mixer = DirectionalScan2d(channels, 8, DIRECTION_SUBSETS[directions], rng=rng, dtype=dtype)
+    h, w = (side, side) if np.isscalar(side) else side
+    return mixer, Tensor(rng.standard_normal((channels, h, w)).astype(dtype))
+
+
 def test_zoh_scan_bit_equal_to_pair_in_a_scan_block(monkeypatch):
-    # level 0 of the default network at packed 64: L = 4096 spans 8 chunks
-    channels, n, side = 8, 8, 64
-    rng = np.random.default_rng(1)
-    mixer = DirectionalScan2d(channels, n, tuple(range(8)), rng=rng, dtype=np.float32)
-    x = Tensor(rng.standard_normal((channels, side, side)).astype(np.float32))
-    assert side * side * 8 * channels * n > 4 * ssm._CHUNK_ELEMS
+    # level 0 of the default network at packed 64: L = 4096 spans 8 chunks.
+    # Untaped, the mixer gathers and projects per chunk and never calls
+    # blocks.zoh_scan; taped, it runs the whole-sequence composition, here
+    # with the reference scan in place of zoh_scan.
+    mixer, x = _mixer(8, 64, 8, np.float32)
+    assert 64 * 64 * 8 * 8 * 8 > 4 * ssm._CHUNK_ELEMS
     with no_grad():
         got = mixer(x).data
-        monkeypatch.setattr(blocks, "zoh_scan", reference_zoh_scan)
-        want = mixer(x).data
+    monkeypatch.setattr(blocks, "zoh_scan", reference_zoh_scan)
+    want = mixer(x).data
     _assert_same_bits([got], [want])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("directions", [1, 2, 4, 8])
+def test_untaped_mixer_bit_equal_to_taped(directions, dtype, monkeypatch):
+    # L = 7 * 9 = 63 in chunks of 10 steps: the 3 left over join the last chunk
+    channels = 8
+    mixer, x = _mixer(channels, (7, 9), directions, dtype)
+    monkeypatch.setattr(ssm, "_CHUNK_ELEMS", 10 * directions * channels * 8)
+    assert [s.stop - s.start for s in ssm._l_chunks((63, directions, channels, 8))] == [10] * 5 + [13]
+    with no_grad():
+        got = mixer(x).data
+    _assert_same_bits([got], [mixer(x).data])
+
+
+def test_untaped_mixer_within_blas_rounding_of_taped_for_wide_products():
+    # A chunk's projection is its own BLAS product.  Where BLAS computes the
+    # last columns of the whole-sequence product with another kernel than a
+    # chunk's (on OpenBLAS's AVX-512 kernels: C = 32 and L = 33 * 33 in
+    # float32), the untaped output can differ from the taped one by that
+    # rounding; measured up to 0.45 eps of max |y|.
+    mixer, x = _mixer(32, 33, 8, np.float32)
+    with no_grad():
+        got = mixer(x).data
+    want = mixer(x).data
+    assert np.abs(got - want).max() <= np.finfo(np.float32).eps * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mode", [no_grad, contextlib.nullcontext], ids=["untaped", "taped"])
+def test_mixer_names_the_op_of_a_non_finite_value(mode):
+    mixer, x = _mixer(8, (7, 9), 8, np.float32)
+    mixer.wd.data[3, 2, 1] = np.nan
+    with pytest.raises(NumericError, match="by matmul"), mode():
+        mixer(x)
+    mixer, x = _mixer(8, (7, 9), 8, np.float32)
+    mixer.a_log.data[5, 1, 2] = 100.0  # exp overflows float32
+    with pytest.raises(NumericError, match="by exp"), np.errstate(over="ignore"), mode():
+        mixer(x)
 
 
 def _mean_sq_err(y, target):
@@ -293,26 +341,32 @@ def _mean_sq_err(y, target):
 
 
 def test_network_bit_equal_to_reference(monkeypatch):
+    # The reference side runs taped throughout: its untaped mixers would
+    # project per chunk and never reach blocks.zoh_scan.
     net = TwoStageNet(NetworkConfig(base_width=8, depth=2), seed=5)
     x = np.random.default_rng(3).uniform(0.0, 0.2, (4, 12, 12)).astype(np.float32)
+    # level 0 (L = 144, 8 directions, C = 8, N = 8) in chunks of 40, 40 and 64 steps
+    monkeypatch.setattr(ssm, "_CHUNK_ELEMS", 40 * 8 * 8 * 8)
+    assert len(ssm._l_chunks((144, 8, 8, 8))) == 3
 
     def run():
         with no_grad():
-            outs = [o.data for o in net(Tensor(x))]
-        rng = np.random.default_rng(4)
-        targets = [rng.uniform(0.0, 1.0, o.shape).astype(np.float32) for o in outs]
+            untaped = [o.data for o in net(Tensor(x))]
         o1, o2 = net(Tensor(x))
+        rng = np.random.default_rng(4)
+        targets = [rng.uniform(0.0, 1.0, o.shape).astype(np.float32) for o in (o1, o2)]
         net.zero_grad()
         backward(T.add(_mean_sq_err(o1, targets[0]), _mean_sq_err(o2, targets[1])))
-        return outs, {name: p.grad.copy() for name, p in net.named_params()}
+        return untaped, [o1.data, o2.data], {name: p.grad.copy() for name, p in net.named_params()}
 
     fast = run()
     monkeypatch.setattr(blocks, "zoh_scan", reference_zoh_scan)
     ref = run()
 
-    _assert_same_bits(fast[0], ref[0], ("o1", "o2"))
-    assert list(fast[1]) == list(ref[1])
-    _assert_same_bits(list(fast[1].values()), list(ref[1].values()), list(ref[1]))
+    _assert_same_bits(fast[0], ref[1], ("o1", "o2"))
+    _assert_same_bits(fast[1], ref[1], ("o1", "o2"))
+    assert list(fast[2]) == list(ref[2])
+    _assert_same_bits(list(fast[2].values()), list(ref[2].values()), list(ref[2]))
 
 
 def test_no_grad_scan_block_peak_memory():
@@ -329,5 +383,6 @@ def test_no_grad_scan_block_peak_memory():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    full = 8 * channels * side * side * n * 4
-    assert peak <= full, f"peak {peak / full:.2f} full (K, C, L, N) arrays"
+    # y is the only full (K, C, L) sequence array; forming the sequences whole peaked at 7.0
+    seq = 8 * channels * side * side * 4
+    assert peak <= 3.5 * seq, f"peak {peak / seq:.2f} (K, C, L) sequence arrays"

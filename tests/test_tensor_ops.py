@@ -231,6 +231,30 @@ class TestPermutations:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
+def _list_merge(arr, inverses):
+    """The direction merge as rounds over a list: neighbours added pairwise, an odd one out passed up."""
+    parts = [np.take(arr[i], inverses[i], axis=-1) for i in range(len(inverses))]
+    while len(parts) > 1:
+        parts = [parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i] for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", range(1, 10))
+def test_merge_bit_equal_to_list_rounds(k, dtype):
+    rng = np.random.default_rng(k)
+    length = 40
+    inverses = np.stack([rng.permutation(length) for _ in range(k)])
+    # magnitudes far apart, so another tree of adds rounds differently
+    arr = (rng.standard_normal((k, 3, length)) * 10.0 ** rng.uniform(-8, 8, (k, 3, length))).astype(dtype)
+    arr[:, 0, :5] = -0.0
+    held = arr.copy()
+    got, want = T._merge(arr, inverses), _list_merge(arr, inverses)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    assert arr.tobytes() == held.tobytes()
+
+
 class TestStructureOps:
     def test_pixel_shuffle_layout(self):
         x = Tensor(np.arange(8.0).reshape(8, 1, 1))

@@ -174,6 +174,22 @@ class TestAdamW:
         with pytest.raises(DimensionError, match="'w'"):
             AdamW([("w", p)]).step(1e-3)
 
+    def test_numpy_float64_lr_keeps_float32_parameters(self, rng):
+        # a schedule computed in numpy hands step() a np.float64
+        specs = [((3, 4), np.float32), ((5,), np.float32), ((2,), np.float64)]
+        named, twin = _twin_params(rng, specs)
+        opt, ref = AdamW(named), AdamW(twin)
+        for _ in range(3):
+            for (_, p), (_, q) in zip(named, twin):
+                p.grad = rng.standard_normal(p.data.shape).astype(p.data.dtype)
+                q.grad = p.grad.copy()
+            opt.step(np.float64(1e-3))
+            ref.step(1e-3)
+            for (_, p), (_, q) in zip(named, twin):
+                assert p.data.dtype == q.data.dtype
+                assert p.data.tobytes() == q.data.tobytes()
+        assert [p.data.dtype for _, p in named] == [np.float32, np.float32, np.float64]
+
     def test_fused_update_bit_equal_to_per_parameter_loop(self, rng):
         specs = [((3, 4), np.float32), ((5,), np.float64), ((2, 3, 1, 1), np.float32),
                  ((7,), np.float64), ((1,), np.float32), ((4, 2), np.float32)]
