@@ -127,11 +127,12 @@ class DirectionalScan2d(Module):
     full-rank step-size projection, rank-N input/output projections shared
     across channels, a per-channel diagonal decay spectrum, and a skip gain.
 
-    When nothing is taped, the directional sequences and their projections
+    One method, ``_operands``, forms the scan's operands from directional
+    sequences.  When nothing is taped, the sequences and their projections
     are never formed whole: each L-chunk of the scan gathers its own steps
-    and projects them (``ssm.zoh_scan_chunks``), so the scan output is the
-    only full ``(K, C, L)`` array.  Taped, the sequences and projections are
-    formed whole and kept for the backward pass.
+    and hands them to ``_operands`` (``ssm.zoh_scan_chunks``), so the scan
+    output is the only full ``(K, C, L)`` array.  Taped, ``_operands`` runs
+    on the whole sequences, and the tape keeps them for the backward pass.
     """
 
     def __init__(self, channels, state_dim, direction_idx, *, rng, dtype):
@@ -159,38 +160,27 @@ class DirectionalScan2d(Module):
         orders, invs = (stack[pick] for stack in stacked_orders(h, w))
 
         flat = T.reshape(x, (c, length))
-        if not T._needs_grad((x, *self.params())):
-            y = self._scan_by_chunks(flat.data, orders)
+        a = T.reshape(T.neg(T.exp(self.a_log)), (k, c, 1, n))
+        if T._needs_grad((x, *self.params())):
+            y = zoh_scan(*self._operands(T.multi_gather(flat, orders, invs), a), self.d_skip)
         else:
-            seqs = T.multi_gather(flat, orders, invs)
-            delta, b_seq, c_seq = self._project(seqs)
-            a = T.reshape(T.neg(T.exp(self.a_log)), (k, c, 1, n))
-            bs = T.reshape(T.transpose(b_seq, (0, 2, 1)), (k, 1, length, n))
-            delta = T.reshape(delta, (k, c, length, 1))
-            cs = T.reshape(T.transpose(c_seq, (0, 2, 1)), (k, 1, length, n))
-            y = zoh_scan(seqs, a, bs, cs, delta, self.d_skip)
+            # each L-chunk gathers its own steps of the sequences and projects them
+            def operands(s):
+                return [t.data for t in self._operands(Tensor(T._expand(flat.data, orders[:, s])), a)]
+
+            y = zoh_scan_chunks(operands, (k, c, length, n), flat.dtype, self.d_skip)
         return T.reshape(T.multi_scatter(y, orders, invs), (c, h, w))
 
-    def _project(self, seqs):
-        """The step sizes softplus(wd x + bd) and the projections wb x and wc x of (K, C, L) sequences x."""
-        return T.softplus(T.add(T.matmul(self.wd, seqs), self.bd)), T.matmul(self.wb, seqs), T.matmul(self.wc, seqs)
-
-    def _scan_by_chunks(self, flat, orders):
-        """The untaped scan of the (C, L) array ``flat``: each L-chunk gathers
-        its steps of the directional sequences and projects them through the
-        tensor primitives, which check and count them as on the taped path.
+    def _operands(self, seqs, a):
+        """``zoh_scan``'s x, a, b, c_seq and delta for (K, C, L) sequences
+        ``seqs``: the step sizes softplus(wd x + bd) as (K, C, L, 1) and the
+        projections wb x and wc x as (K, 1, L, N).
         """
-        k, (c, length), n = len(orders), flat.shape, self.a_log.shape[-1]
-        a = T.reshape(T.neg(T.exp(self.a_log)), (k, c, 1, n)).data
-
-        def operands(s):
-            seqs = Tensor(T._expand(flat, orders[:, s]))
-            delta, b_seq, c_seq = self._project(seqs)
-            # (K, N, Ls) projections as (K, 1, Ls, N) views, delta as (K, C, Ls, 1)
-            bs, cs = (t.data.transpose(0, 2, 1)[:, None] for t in (b_seq, c_seq))
-            return seqs.data, a, bs, cs, delta.data[..., None]
-
-        return zoh_scan_chunks(operands, (k, c, length, n), flat.dtype, self.d_skip)
+        k, c, length = seqs.shape
+        n = a.shape[-1]
+        delta = T.softplus(T.add(T.matmul(self.wd, seqs), self.bd))
+        bs, cs = (T.reshape(T.transpose(T.matmul(w, seqs), (0, 2, 1)), (k, 1, length, n)) for w in (self.wb, self.wc))
+        return seqs, a, bs, cs, T.reshape(delta, (k, c, length, 1))
 
 
 class GatedScanBlock(Module):

@@ -15,6 +15,7 @@ from . import blocks, ssm
 from . import tensor as T
 from .errors import ConfigError
 from .model import NetworkConfig, TwoStageNet
+from .scan import stacked_orders
 from .tensor import Tensor, backward, no_grad
 
 EPS = 1e-5
@@ -65,86 +66,23 @@ def _mean_sq(t):
     return T.mean(T.mul(t, t))
 
 
+def op_case(op, *shapes, min_abs=0.0):
+    """A case of ``op`` on standard-normal leaves of ``shapes``, drawn in
+    order (pushed at least ``min_abs`` from 0), through the mean square."""
+
+    def make(rng):
+        leaves = [_leaf(rng, shape, min_abs) for shape in shapes]
+        return (lambda: _mean_sq(op(*leaves))), dict(enumerate(leaves))
+
+    return make
+
+
 def primitive_cases():
     """(name, builder) pairs covering every primitive on small random shapes."""
 
-    def unary(op, shape=(3, 4), min_abs=0.0):
-        def make(rng):
-            x = _leaf(rng, shape, min_abs)
-            return (lambda: _mean_sq(op(x))), {"x": x}
-
-        return make
-
-    def binary(op, shape_a, shape_b):
-        def make(rng):
-            a, b = _leaf(rng, shape_a), _leaf(rng, shape_b)
-            return (lambda: _mean_sq(op(a, b))), {"a": a, "b": b}
-
-        return make
-
-    cases = [
-        ("add", binary(T.add, (3, 4), (1, 4))),
-        ("sub", binary(T.sub, (3, 4), (3, 1))),
-        ("mul", binary(T.mul, (3, 4), (4,))),
-        ("neg", unary(T.neg)),
-        ("scale", unary(lambda x: T.scale(x, 2.5))),
-        ("exp", unary(T.exp)),
-        ("absolute", unary(T.absolute, min_abs=0.05)),
-        ("sigmoid", unary(T.sigmoid)),
-        ("silu", unary(T.silu)),
-        ("gelu", unary(T.gelu)),
-        ("softplus", unary(T.softplus)),
-        ("mean", unary(T.mean)),
-        ("sum_all", unary(T.sum_all)),
-        ("mean_axis0_keepdims", unary(lambda x: T.mean(x, axis=0, keepdims=True), shape=(4, 3, 3))),
-        ("mean_spatial", unary(lambda x: T.mean(x, axis=(1, 2)), shape=(4, 3, 3))),
-        ("reshape", unary(lambda x: T.reshape(x, (4, 3)))),
-        ("transpose", unary(lambda x: T.transpose(x, (1, 0)))),
-        ("pixel_shuffle", unary(lambda x: T.pixel_shuffle(x, 2), shape=(8, 2, 2))),
-        ("narrow_channels", unary(lambda x: T.narrow_channels(x, 1, 2), shape=(4, 3))),
-    ]
-
-    def concat_case(rng):
-        a, b = _leaf(rng, (2, 3, 3)), _leaf(rng, (3, 3, 3))
-        return (lambda: _mean_sq(T.concat_channels([a, b]))), {"a": a, "b": b}
-
-    def matmul_case(rng):
-        a, b = _leaf(rng, (2, 3, 4)), _leaf(rng, (4, 2))
-        return (lambda: _mean_sq(T.matmul(a, b))), {"a": a, "b": b}
-
-    def layer_norm_case(rng):
-        x = _leaf(rng, (4, 3, 3))
-        g, b = _leaf(rng, (4,)), _leaf(rng, (4,))
-        return (lambda: _mean_sq(T.layer_norm(x, g, b))), {"x": x, "gamma": g, "beta": b}
-
     def conv_case(k, stride):
-        def make(rng):
-            x = _leaf(rng, (2, 4, 4))
-            w = _leaf(rng, (3, 2, k, k))
-            b = _leaf(rng, (3,))
-            return (lambda: _mean_sq(T.conv2d(x, w, b, stride=stride, padding=(k - 1) // 2))), {"x": x, "w": w, "b": b}
-
-        return make
-
-    def conv_transpose_case(rng):
-        x = _leaf(rng, (3, 3, 3))
-        w = _leaf(rng, (3, 2, 2, 2))
-        b = _leaf(rng, (2,))
-        return (lambda: _mean_sq(T.conv_transpose2d(x, w, b))), {"x": x, "w": w, "b": b}
-
-    def multi_gather_case(rng):
-        from .scan import stacked_orders
-
-        orders, invs = stacked_orders(3, 3)
-        x = _leaf(rng, (2, 9))
-        return (lambda: _mean_sq(T.multi_gather(x, orders, invs))), {"x": x}
-
-    def multi_scatter_case(rng):
-        from .scan import stacked_orders
-
-        orders, invs = stacked_orders(2, 3)
-        x = _leaf(rng, (8, 2, 6))
-        return (lambda: _mean_sq(T.multi_scatter(x, orders, invs))), {"x": x}
+        return op_case(lambda x, w, b: T.conv2d(x, w, b, stride=stride, padding=(k - 1) // 2),
+                       (2, 4, 4), (3, 2, k, k), (3,))
 
     def discretize_case(rng):
         a = Tensor(-np.exp(rng.standard_normal((2, 1, 3))), requires_grad=True)
@@ -186,22 +124,40 @@ def primitive_cases():
 
         return fn, {"x": x, "a": a, "b": b, "c": cs, "delta": delta, "d": d}
 
-    cases += [
-        ("concat_channels", concat_case),
-        ("matmul", matmul_case),
-        ("layer_norm", layer_norm_case),
+    return [
+        ("add", op_case(T.add, (3, 4), (1, 4))),
+        ("sub", op_case(T.sub, (3, 4), (3, 1))),
+        ("mul", op_case(T.mul, (3, 4), (4,))),
+        ("neg", op_case(T.neg, (3, 4))),
+        ("scale", op_case(lambda x: T.scale(x, 2.5), (3, 4))),
+        ("exp", op_case(T.exp, (3, 4))),
+        ("absolute", op_case(T.absolute, (3, 4), min_abs=0.05)),
+        ("sigmoid", op_case(T.sigmoid, (3, 4))),
+        ("silu", op_case(T.silu, (3, 4))),
+        ("gelu", op_case(T.gelu, (3, 4))),
+        ("softplus", op_case(T.softplus, (3, 4))),
+        ("mean", op_case(T.mean, (3, 4))),
+        ("sum_all", op_case(T.sum_all, (3, 4))),
+        ("mean_axis0_keepdims", op_case(lambda x: T.mean(x, axis=0, keepdims=True), (4, 3, 3))),
+        ("mean_spatial", op_case(lambda x: T.mean(x, axis=(1, 2)), (4, 3, 3))),
+        ("reshape", op_case(lambda x: T.reshape(x, (4, 3)), (3, 4))),
+        ("transpose", op_case(lambda x: T.transpose(x, (1, 0)), (3, 4))),
+        ("pixel_shuffle", op_case(lambda x: T.pixel_shuffle(x, 2), (8, 2, 2))),
+        ("narrow_channels", op_case(lambda x: T.narrow_channels(x, 1, 2), (4, 3))),
+        ("concat_channels", op_case(lambda a, b: T.concat_channels([a, b]), (2, 3, 3), (3, 3, 3))),
+        ("matmul", op_case(T.matmul, (2, 3, 4), (4, 2))),
+        ("layer_norm", op_case(T.layer_norm, (4, 3, 3), (4,), (4,))),
         ("conv2d_s1", conv_case(3, 1)),
         ("conv2d_s2", conv_case(3, 2)),
         ("conv2d_1x1", conv_case(1, 1)),
         ("conv2d_5x5", conv_case(5, 1)),
-        ("conv_transpose2d", conv_transpose_case),
-        ("multi_gather", multi_gather_case),
-        ("multi_scatter", multi_scatter_case),
+        ("conv_transpose2d", op_case(T.conv_transpose2d, (3, 3, 3), (3, 2, 2, 2), (2,))),
+        ("multi_gather", op_case(lambda x: T.multi_gather(x, *stacked_orders(3, 3)), (2, 9))),
+        ("multi_scatter", op_case(lambda x: T.multi_scatter(x, *stacked_orders(2, 3)), (8, 2, 6))),
         ("discretize", discretize_case),
         ("selective_scan", selective_scan_case),
         ("zoh_scan", zoh_scan_case),
     ]
-    return cases
 
 
 def block_cases():

@@ -72,7 +72,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, _accumulate, _add_macs, _check_finite, _needs_grad, _record, _unbroadcast
+from .tensor import Tensor, _accumulate, _check_finite, _needs_grad, _record, _unbroadcast
 
 # Below this |delta * a| the (exp(u) - 1) / u factor switches to its Taylor
 # series to avoid the removable singularity at u = 0.
@@ -262,7 +262,6 @@ def selective_scan(x, abar, bbar, c_seq, d_skip):
         if k:
             hs[..., k, :] += ad[..., k, :] * hs[..., k - 1, :]
         y[..., k] = (hs[..., k, :] * cd[..., k, :]).sum(axis=-1) + dd * xd[..., k]
-    _add_macs(y.size * (3 * want[-1] + 1))
 
     def bwd(g):
         gx = np.empty_like(xd)
@@ -283,7 +282,7 @@ def selective_scan(x, abar, bbar, c_seq, d_skip):
         _accumulate(c_seq, gc)
         _accumulate(d_skip, _unbroadcast((g * xd).sum(axis=-1), d_skip.data.shape))
 
-    return _record(y, (x, abar, bbar, c_seq, d_skip), bwd, "selective_scan")
+    return _record(y, (x, abar, bbar, c_seq, d_skip), bwd, "selective_scan", y.size * (3 * want[-1] + 1))
 
 
 def _pairwise_sum(p):
@@ -479,7 +478,7 @@ def _fused_backward(g, x, a, b, c_seq, delta, d_skip, h):
 def _run_chunks(operands, shape, skip, y, h=None):
     """``zoh_scan``'s forward over a scan of broadcast shape ``shape`` =
     G + (L, N), one L-chunk at a time: writes y (G + (L,)) and, given ``h``,
-    the states into it.
+    the states into it, and returns the scan's multiply-accumulates.
 
     ``operands(s)`` gives steps ``s`` of x, a, b, c_seq and delta, shaped as
     ``zoh_scan`` takes them (L axes of size 1 allowed); each chunk copies
@@ -492,7 +491,7 @@ def _run_chunks(operands, shape, skip, y, h=None):
         x, a, b, c_seq, delta = operands(s)
         parts = (_chunk(v, nd) for v in (a, b, delta, x[..., None], c_seq))
         h0 = _fused_chunk(*parts, skip, h0, y_l[s], None if h is None else h[s])
-    _add_macs(y.size * (3 * shape[-1] + 1))
+    return y.size * (3 * shape[-1] + 1)
 
 
 def zoh_scan(x, a, b, c_seq, delta, d_skip):
@@ -514,9 +513,9 @@ def zoh_scan(x, a, b, c_seq, delta, d_skip):
     y = np.empty_like(xd)
     taped = _needs_grad(parents)
     h = np.empty(want[-2:] + want[:-2], np.result_type(xd, ad, bd, dd)) if taped else None
-    _run_chunks(lambda s: (xd[..., s],) + tuple(_steps(v, s) for v in (ad, bd, cd, dd)), want, skip, y, h)
+    macs = _run_chunks(lambda s: (xd[..., s],) + tuple(_steps(v, s) for v in (ad, bd, cd, dd)), want, skip, y, h)
     bwd = (lambda g: _fused_backward(g, *parents, h)) if taped else None
-    return _record(y, parents, bwd, "selective_scan")
+    return _record(y, parents, bwd, "selective_scan", macs)
 
 
 def zoh_scan_chunks(operands, shape, dtype, d_skip):
@@ -531,8 +530,8 @@ def zoh_scan_chunks(operands, shape, dtype, d_skip):
     demand never holds its sequences whole.
     """
     y = np.empty(shape[:-1], dtype)
-    _run_chunks(operands, shape, np.broadcast_to(np.asarray(d_skip.data), shape[:-2]), y)
-    return _record(y, (), None, "selective_scan")
+    macs = _run_chunks(operands, shape, np.broadcast_to(np.asarray(d_skip.data), shape[:-2]), y)
+    return _record(y, (), None, "selective_scan", macs)
 
 
 def lti_kernel_scan(x, abar, bbar, c, d):

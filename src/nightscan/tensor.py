@@ -62,11 +62,6 @@ def track_macs():
         _mac_counters.remove(box)
 
 
-def _add_macs(n):
-    for box in _mac_counters:
-        box["macs"] += int(n)
-
-
 class Tensor:
     """A dense real array with an optional gradient slot.
 
@@ -76,8 +71,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_nid")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
@@ -118,9 +113,12 @@ def _needs_grad(parents):
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
-def _record(data, parents, backward_fn, op):
-    """Create the output tensor of a primitive and record its tape entry."""
+def _record(data, parents, backward_fn, op, macs=0):
+    """Create the output tensor of a primitive, which ran ``macs``
+    multiply-accumulates, and record its tape entry."""
     _check_finite(data, op)
+    for box in _mac_counters:
+        box["macs"] += macs
     req = _needs_grad(parents)
     out = Tensor(data, requires_grad=req)
     if req:
@@ -380,14 +378,12 @@ def matmul(a, b):
     if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
     out_data = np.matmul(a.data, b.data)
-    batch = int(np.prod(out_data.shape[:-2])) if out_data.ndim > 2 else 1
-    _add_macs(batch * out_data.shape[-2] * out_data.shape[-1] * a.data.shape[-1])
 
     def bwd(g):
         _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
         _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
-    return _record(out_data, (a, b), bwd, "matmul")
+    return _record(out_data, (a, b), bwd, "matmul", out_data.size * a.data.shape[-1])
 
 
 LAYER_NORM_EPS = 1e-5
@@ -497,7 +493,6 @@ def conv2d(x, w, b, stride=1, padding=0):
     cols, ho, wo = _im2col(x.data, k, stride, padding)
     wmat = w.data.reshape(co, ci * k * k)
     out = (wmat @ cols + b.data[:, None]).reshape(co, ho, wo)
-    _add_macs(co * ci * k * k * ho * wo)
 
     def bwd(g):
         gm = g.reshape(co, ho * wo)
@@ -507,7 +502,7 @@ def conv2d(x, w, b, stride=1, padding=0):
             dcols = wmat.T @ gm
             _accumulate(x, _col2im(dcols, x.data.shape, k, stride, padding))
 
-    return _record(out, (x, w, b), bwd, "conv2d")
+    return _record(out, (x, w, b), bwd, "conv2d", wmat.size * ho * wo)
 
 
 def conv_transpose2d(x, w, b):
@@ -525,7 +520,6 @@ def conv_transpose2d(x, w, b):
     wmat = w.data.reshape(ci, co * k * k)
     # column (c, i, j) of pixel (y, x) lands at output (c, y*k + i, x*k + j)
     out = (wmat.T @ xmat).reshape(co, k, k, h, w_in).transpose(0, 3, 1, 4, 2).reshape(co, h * k, w_in * k)
-    _add_macs(ci * co * k * k * h * w_in)
 
     def bwd(g):
         gcols = g.reshape(co, h, k, w_in, k).transpose(0, 2, 4, 1, 3).reshape(co * k * k, h * w_in)
@@ -534,7 +528,7 @@ def conv_transpose2d(x, w, b):
         if x.requires_grad:
             _accumulate(x, (wmat @ gcols).reshape(x.data.shape))
 
-    return _record(out + b.data[:, None, None], (x, w, b), bwd, "conv_transpose2d")
+    return _record(out + b.data[:, None, None], (x, w, b), bwd, "conv_transpose2d", wmat.size * xmat.shape[1])
 
 
 # ---------------------------------------------------------------------------

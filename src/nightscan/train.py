@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .data import SyntheticDataset, flip_arrays
 from .errors import ConfigError, DimensionError, NumericError
-from .metrics import psnr, ssim
+from .metrics import SSIM_WINDOW, psnr, ssim
 from .model import NetworkConfig, TwoStageNet, network_from_checkpoint, save_checkpoint
 from .rawio import pack
 from .tensor import Tensor, backward, no_grad
@@ -90,9 +90,8 @@ def total_loss(o1, o2, gt_raw, gt_srgb, cfg: LossConfig):
     return loss, parts
 
 
-def cosine_lr(step, total_steps, lr_init, lr_final, horizon=None):
+def cosine_lr(step, horizon, lr_init, lr_final):
     """Cosine decay from lr_init to lr_final over ``horizon`` steps, then flat."""
-    horizon = total_steps if horizon is None else horizon
     t = min(step, horizon)
     return lr_final + 0.5 * (lr_init - lr_final) * (1.0 + math.cos(math.pi * t / horizon))
 
@@ -217,6 +216,9 @@ def train(
     """
     if not dataset.samples:
         raise ConfigError("dataset is empty")
+    # the final metrics include SSIM, which needs the whole window inside the image
+    if dataset.size < SSIM_WINDOW:
+        raise ConfigError(f"training images must be at least {SSIM_WINDOW} pixels wide for SSIM, got {dataset.size}")
     dtype = np.float32
     net = TwoStageNet(net_cfg, seed=train_cfg.seed, dtype=dtype)
     opt = AdamW(net.named_params())
@@ -242,7 +244,7 @@ def train(
             if flip_h or flip_v:
                 x_np, gt_raw_np, gt_rgb_np = flip_arrays(x_np, gt_raw_np, gt_rgb_np, flip_h, flip_v)
 
-        lr = cosine_lr(step, total_steps, train_cfg.lr_init, train_cfg.lr_final, horizon)
+        lr = cosine_lr(step, horizon, train_cfg.lr_init, train_cfg.lr_final)
         o1, o2 = net(Tensor(np.asarray(x_np, dtype=dtype)))
         loss, parts = total_loss(
             o1,

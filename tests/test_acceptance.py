@@ -85,10 +85,21 @@ def test_criterion_2_ssm_oracle():
     assert _report(2, ok, f"100 instances, max rel err {worst:.2e} (<= 1e-8), ZOH closed forms ok, {elapsed:.2f}s (< 5s)")
 
 
+GRADCHECK_CASES = [
+    "add", "sub", "mul", "neg", "scale", "exp", "absolute", "sigmoid", "silu", "gelu", "softplus",
+    "mean", "sum_all", "mean_axis0_keepdims", "mean_spatial", "reshape", "transpose", "pixel_shuffle",
+    "narrow_channels", "concat_channels", "matmul", "layer_norm", "conv2d_s1", "conv2d_s2", "conv2d_1x1",
+    "conv2d_5x5", "conv_transpose2d", "multi_gather", "multi_scatter", "discretize", "selective_scan",
+    "zoh_scan", "channel_attention", "directional_scan", "gated_scan_block", "scan_residual_block",
+    "retinex_decomposition", "adaptive_fusion", "concat_fusion", "residual_conv_block", "two_stage_net",
+]
+
+
 def test_criterion_3_gradient_suite():
     start = time.perf_counter()
     rows, all_pass = run_gradcheck()
     elapsed = time.perf_counter() - start
+    assert [r["op"] for r in rows] == GRADCHECK_CASES
     worst = max(r["max_rel_err"] for r in rows)
     ok = all_pass and elapsed < 120.0
     assert _report(3, ok, f"{len(rows)} ops/blocks, worst rel err {worst:.2e} (<= 1e-3), {elapsed:.1f}s (< 2min)"), [

@@ -225,6 +225,17 @@ def test_train_with_malformed_config_is_one_json_error(capsys, tmp_path, config)
     assert _one_json_error(err) == "ConfigError"
 
 
+def test_train_on_images_smaller_than_the_ssim_window_is_one_json_error(capsys, tmp_path):
+    data_dir, run_dir, cfg_path = tmp_path / "d", tmp_path / "run", tmp_path / "config.json"
+    assert dispatch(["gen-data", "--out", str(data_dir), "--count", "2", "--size", "8", "--seed", "1"]) == 0
+    cfg_path.write_text(json.dumps({"train": {"steps": 3}}))
+    capsys.readouterr()
+    code, _, err = run(capsys, "train", "--data", str(data_dir), "--out", str(run_dir), "--config", str(cfg_path))
+    assert code == 1
+    assert _one_json_error(err) == "ConfigError"
+    assert not (run_dir / "model.ckpt").exists()
+
+
 def test_train_with_negative_seed_flag_is_one_json_error(capsys, tmp_path):
     code, _, err = run(capsys, "train", "--data", str(tmp_path), "--out", str(tmp_path / "run"), "--seed", "-1")
     assert code == 1

@@ -129,7 +129,7 @@ def test_linear_recurrence_both_directions():
 @pytest.mark.parametrize("steps", [None, 1, 3, 5], ids=["default", "1step", "3steps", "5steps"])
 def test_zoh_scan_bit_equal_to_pair(case, steps, monkeypatch):
     arrays, dtype = _case(*case)
-    a, b, delta, x, c, d, _ = (Tensor(v, dtype=dtype) for v in arrays)
+    a, b, delta, x, c, d, _ = (Tensor(np.asarray(v, dtype)) for v in arrays)
     if steps is not None:
         # chunk boundaries every ``steps`` steps of the G + (L, N) broadcast shape
         monkeypatch.setattr(ssm, "_CHUNK_ELEMS", steps * int(np.prod(case[1])) * case[3])
@@ -192,7 +192,7 @@ def test_taped_zoh_scan_keeps_the_pairs_signed_zeros(case):
 
 def test_zoh_scan_bit_equal_to_pair_with_mixed_dtypes():
     arrays, _ = _case(*CASES[0])
-    a, b, delta, x, c, d, _ = (Tensor(v, dtype=np.float32) for v in arrays)
+    a, b, delta, x, c, d, _ = (Tensor(np.asarray(v, np.float32)) for v in arrays)
     for t in (b, x, c):
         # float64 b, x and c give bbar, h and h c another dtype than the buffers they reuse
         t.data = t.data.astype(np.float64)
@@ -230,7 +230,7 @@ def _level0_packed64(requires_grad):
         np.exp(rng.uniform(-5.0, -1.0, (k, c, L, 1))),
         rng.standard_normal((k, c)),
     ]
-    return [Tensor(v, requires_grad=requires_grad, dtype=np.float32) for v in args], k * c * L * n * 4
+    return [Tensor(v.astype(np.float32), requires_grad=requires_grad) for v in args], k * c * L * n * 4
 
 
 def test_untaped_scan_keeps_no_chunk_buffers():
@@ -305,9 +305,13 @@ def test_untaped_mixer_bit_equal_to_taped(directions, dtype, monkeypatch):
     mixer, x = _mixer(channels, (7, 9), directions, dtype)
     monkeypatch.setattr(ssm, "_CHUNK_ELEMS", 10 * directions * channels * 8)
     assert [s.stop - s.start for s in ssm._l_chunks((63, directions, channels, 8))] == [10] * 5 + [13]
-    with no_grad():
+    with no_grad(), T.track_macs() as untaped_macs:
         got = mixer(x).data
-    _assert_same_bits([got], [mixer(x).data])
+    with T.track_macs() as taped_macs:
+        want = mixer(x).data
+    _assert_same_bits([got], [want])
+    # per direction: the wd, wb and wc projections (3 * 8 * 8 * 63) and the scan (8 * 63 * (3 * 8 + 1))
+    assert untaped_macs["macs"] == taped_macs["macs"] == 24696 * directions
 
 
 def test_untaped_mixer_within_blas_rounding_of_taped_for_wide_products():

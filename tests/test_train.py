@@ -78,7 +78,7 @@ class TestSchedule:
         assert cosine_lr(100, 100, 1e-4, 1e-5) == pytest.approx(1e-5)
 
     def test_monotone_decreasing_then_flat(self):
-        values = [cosine_lr(t, 100, 1e-4, 1e-5, horizon=80) for t in range(121)]
+        values = [cosine_lr(t, 80, 1e-4, 1e-5) for t in range(121)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[80] == pytest.approx(1e-5)
         assert values[120] == pytest.approx(1e-5)
