@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .metrics import psnr
+from .metrics import SSIM_WINDOW, psnr
 from .rawio import (
     CFA_BLOCK,
     RawImage,
@@ -149,8 +149,8 @@ def gen_synthetic(count, size, seed, cfa="RGGB", ratio=100.0, sigma_read=0.02) -
     period = cfa_pattern(cfa).shape[0]
     if size % period:
         raise ConfigError(f"size must be divisible by the {cfa} pattern period {period}")
-    if size < 8:
-        raise ConfigError(f"size must be at least 8, got {size}")
+    if size < SSIM_WINDOW:  # no command can train on or evaluate a smaller image
+        raise ConfigError(f"size must be at least {SSIM_WINDOW}, got {size}")
     if count < 1 or seed < 0:
         raise ConfigError(f"count must be >= 1 and seed >= 0, got count {count}, seed {seed}")
     if not (math.isfinite(ratio) and ratio > 0):

@@ -152,10 +152,14 @@ def _unbroadcast(g, shape):
 
 
 def backward(root):
-    """Populate ``grad`` for every gradient-requiring tensor that feeds ``root``.
+    """Populate ``grad`` for every gradient-requiring leaf that feeds ``root``.
 
     ``root`` must be a scalar.  Entries replay in reverse creation order,
-    each exactly once; accumulation across fan-out is additive.
+    each exactly once; accumulation across fan-out is additive.  The graph
+    is spent as it replays: each op's output drops its gradient, closure
+    and parents once its closure has run, so afterwards intermediate
+    tensors hold no ``grad`` and only leaves keep theirs.  A second
+    ``backward`` through a spent graph is a ``ContractError``.
     """
     if not isinstance(root, Tensor):
         raise ContractError("backward root must be a Tensor")
@@ -169,17 +173,23 @@ def backward(root):
     stack = [root]
     while stack:
         node = stack.pop()
+        if node._parents is None:
+            raise ContractError("backward through a graph that an earlier backward has spent")
         nodes.append(node)
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    nodes.sort(key=lambda n: n._nid, reverse=True)
+    nodes.sort(key=lambda n: n._nid)
 
     root.grad = np.ones_like(root.data)
-    for node in nodes:
-        if node._backward_fn is not None and node.grad is not None:
+    while nodes:
+        node = nodes.pop()
+        if node._backward_fn is None:
+            continue  # a leaf keeps its gradient
+        if node.grad is not None:
             node._backward_fn(node.grad)
+        node.grad = node._backward_fn = node._parents = None
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +439,7 @@ def _im2col(arr, k, stride, pad):
     The (c, ki, kj, oi, oj) windows are one strided view of a C-contiguous
     zero-padded copy, or of the input itself when there is no padding, and
     ``reshape`` copies them once.  A 1 x 1 stride-1 kernel needs no copy, so
-    its matrix is a view of a contiguous input, which the tape then holds at
-    no extra cost.
+    its matrix is a view of a contiguous input.
     """
     c, h, w = arr.shape
     if pad:
@@ -493,11 +502,12 @@ def conv2d(x, w, b, stride=1, padding=0):
     cols, ho, wo = _im2col(x.data, k, stride, padding)
     wmat = w.data.reshape(co, ci * k * k)
     out = (wmat @ cols + b.data[:, None]).reshape(co, ho, wo)
+    del cols  # k² times the input: the backward rebuilds it from x, which the tape holds anyway
 
     def bwd(g):
         gm = g.reshape(co, ho * wo)
         _accumulate(b, g.sum(axis=(1, 2)))
-        _accumulate(w, (gm @ cols.T).reshape(w.data.shape))
+        _accumulate(w, (gm @ _im2col(x.data, k, stride, padding)[0].T).reshape(w.data.shape))
         if x.requires_grad:
             dcols = wmat.T @ gm
             _accumulate(x, _col2im(dcols, x.data.shape, k, stride, padding))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nightscan.cli import build_parser, dispatch
+from nightscan.data import gen_synthetic, write_dataset
 from nightscan.model import NetworkConfig, TwoStageNet, save_checkpoint
 from nightscan.train import LossConfig, TrainConfig
 from nightscan.rawio import read_ppm, read_raw_container
@@ -170,7 +171,7 @@ def test_gen_data_announce_and_baseline(capsys, tmp_path):
     ids=["nan-sigma", "zero-count", "negative-seed", "zero-ratio"],
 )
 def test_gen_data_with_unusable_settings_is_one_json_error(capsys, tmp_path, flags):
-    code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--size", "8", *flags)
+    code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--size", "12", *flags)
     assert code == 1
     assert _one_json_error(err) == "ConfigError"
     assert not (tmp_path / "d").exists()
@@ -226,8 +227,13 @@ def test_train_with_malformed_config_is_one_json_error(capsys, tmp_path, config)
 
 
 def test_train_on_images_smaller_than_the_ssim_window_is_one_json_error(capsys, tmp_path):
+    # gen-data refuses such sizes, so crop a generated dataset to 8x8
     data_dir, run_dir, cfg_path = tmp_path / "d", tmp_path / "run", tmp_path / "config.json"
-    assert dispatch(["gen-data", "--out", str(data_dir), "--count", "2", "--size", "8", "--seed", "1"]) == 0
+    ds = gen_synthetic(count=2, size=12, seed=1)
+    for s in ds.samples:
+        s.raw = dataclasses.replace(s.raw, width=8, height=8, plane=s.raw.plane[:8, :8])
+        s.clean_rgb = s.clean_rgb[:, :8, :8]
+    write_dataset(dataclasses.replace(ds, size=8), data_dir)
     cfg_path.write_text(json.dumps({"train": {"steps": 3}}))
     capsys.readouterr()
     code, _, err = run(capsys, "train", "--data", str(data_dir), "--out", str(run_dir), "--config", str(cfg_path))

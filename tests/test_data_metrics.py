@@ -13,7 +13,7 @@ from nightscan.data import (
     write_dataset,
 )
 from nightscan.errors import ConfigError, DimensionError
-from nightscan.metrics import psnr, ssim
+from nightscan.metrics import SSIM_WINDOW, psnr, ssim
 from nightscan.rawio import pack, pack_mosaic
 
 
@@ -141,6 +141,12 @@ class TestGenSynthetic:
             gen_synthetic(count=1, size=15, seed=0)
         with pytest.raises(ConfigError):
             gen_synthetic(count=1, size=15, seed=0, cfa="XTRANS")
+
+    @pytest.mark.parametrize("size,cfa", [(8, "RGGB"), (10, "RGGB"), (6, "XTRANS")])
+    def test_size_below_the_ssim_window_rejected(self, size, cfa):
+        # no command can train on or evaluate such images
+        with pytest.raises(ConfigError, match=f"at least {SSIM_WINDOW}"):
+            gen_synthetic(count=1, size=size, seed=0, cfa=cfa)
 
     @pytest.mark.parametrize(
         "over",

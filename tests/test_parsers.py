@@ -198,7 +198,7 @@ def test_malformed_ppm_header_is_format_error(tmp_path, blob):
     ids=["empty-object", "list", "samples-number", "entry-paths-numbers", "unknown-cfa", "null-size"],
 )
 def test_malformed_dataset_index_is_format_error(tmp_path, edit):
-    write_dataset(gen_synthetic(count=1, size=8, seed=0), tmp_path)
+    write_dataset(gen_synthetic(count=1, size=12, seed=0), tmp_path)
     index_path = tmp_path / "index.json"
     index_path.write_text(json.dumps(edit(json.loads(index_path.read_text()))))
     with pytest.raises(FormatError):

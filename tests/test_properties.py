@@ -116,7 +116,7 @@ def cli_failures(draw, workdir, nan_ckpt, frame):
     ]))
 
     def gen_data(flag, value):
-        return ["gen-data", "--out", str(workdir / "data"), "--size", "8", f"--{flag}={value}"]
+        return ["gen-data", "--out", str(workdir / "data"), "--size", "12", f"--{flag}={value}"]
 
     if kind == "gen-data":
         flag, values = draw(st.sampled_from([

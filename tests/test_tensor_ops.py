@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,40 @@ class TestBackward:
         backward(T.mul(x, x))
         assert x.grad == pytest.approx(12.0)
 
+    def test_backward_over_a_spent_graph_is_an_error(self):
+        x = Tensor(3.0, requires_grad=True)
+        y = T.mul(x, x)
+        backward(y)
+        with pytest.raises(ContractError, match="spent"):
+            backward(y)
+        with pytest.raises(ContractError, match="spent"):
+            backward(T.add(y, x))  # a new root over a spent intermediate
+        assert x.grad == 6.0  # neither call added to it
+
+    def test_scalar_leaf_root_gets_a_unit_gradient_each_time(self):
+        x = Tensor(3.0, requires_grad=True)
+        backward(x)
+        backward(x)
+        assert x.grad == 1.0
+
+    def test_intermediates_hold_no_gradient_after_backward(self, rng):
+        x = Tensor(rng.standard_normal(4), requires_grad=True)
+        y = T.exp(x)
+        loss = T.sum_all(T.mul(y, y))
+        backward(loss)
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, 2.0 * np.exp(2.0 * x.data))
+
+    def test_backward_releases_intermediate_arrays(self, rng):
+        x = Tensor(rng.standard_normal(64), requires_grad=True)
+        y = T.exp(x)
+        alive = weakref.ref(y.data)
+        loss = T.sum_all(T.mul(y, y))
+        del y
+        assert alive() is not None  # the tape holds it until backward
+        backward(loss)
+        assert alive() is None
+
 
 def _reference_im2col(arr, k, stride, pad):
     """The ``np.pad`` + ``sliding_window_view`` construction of the column matrix."""
@@ -80,6 +117,22 @@ class TestConv2d:
         assert out.data[0, 1, 1] == 9.0
         assert out.data[0, 0, 0] == 4.0
         assert out.data[0, 0, 1] == 6.0
+
+    def test_taped_conv_keeps_its_output_not_its_columns(self, rng):
+        x = Tensor(rng.standard_normal((8, 32, 32)), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 8, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(8), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.conv2d(x, w, b, padding=1)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        cols = _reference_im2col(x.data, 3, 1, 1)[0]
+        assert out.data.nbytes <= kept < out.data.nbytes + cols.nbytes // 8
+        backward(T.sum_all(out))  # the rebuilt columns give the same weight gradient
+        np.testing.assert_array_equal(w.grad, (np.ones((8, 32 * 32)) @ cols.T).reshape(w.data.shape))
 
     def test_identity_1x1_kernel(self, rng):
         x = Tensor(rng.standard_normal((3, 5, 5)))
