@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -427,12 +426,6 @@ def layer_norm(a, gamma, beta):
 # convolution
 
 
-# Conv geometries whose col2im scatter indices are kept; least recently
-# used are dropped first.  One training step of the default network at one
-# input size uses 17, inference 2.
-COL2IM_CACHE_ENTRIES = 64
-
-
 def _im2col(arr, k, stride, pad):
     """(C, H, W) -> the C-contiguous (C*k*k, H'*W') matrix of k x k windows.
 
@@ -455,29 +448,21 @@ def _im2col(arr, k, stride, pad):
     return windows.reshape(c * k * k, ho * wo), ho, wo
 
 
-@lru_cache(maxsize=COL2IM_CACHE_ENTRIES)
-def _col2im_indices(c, h, w, k, stride, pad):
-    hp, wp = h + 2 * pad, w + 2 * pad
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    ci = np.arange(c)[:, None, None, None, None]
-    ki = np.arange(k)[None, :, None, None, None]
-    kj = np.arange(k)[None, None, :, None, None]
-    oi = np.arange(ho)[None, None, None, :, None]
-    oj = np.arange(wo)[None, None, None, None, :]
-    flat = ci * (hp * wp) + (oi * stride + ki) * wp + (oj * stride + kj)
-    return flat.ravel(), hp, wp, ho, wo
-
-
 def _col2im(cols, shape, k, stride, pad):
-    """Scatter-add columns back onto a (C, H, W) grid (inverse of _im2col)."""
+    """Scatter-add columns back onto a (C, H, W) grid (inverse of _im2col).
+
+    Each pixel's terms are added to a float64 0.0 in (ki, kj) order and
+    rounded once, which is what one ``np.bincount`` over the column indices
+    gives, ``-0.0`` sums coming out as ``+0.0`` included.
+    """
     c, h, w = shape
-    idx, hp, wp, _, _ = _col2im_indices(c, h, w, k, stride, pad)
-    acc = np.bincount(idx, weights=cols.ravel(), minlength=c * hp * wp)
-    acc = acc.reshape(c, hp, wp)
-    if pad:
-        acc = acc[:, pad:pad + h, pad:pad + w]
-    return acc.astype(cols.dtype, copy=False)
+    ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    acc = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    terms = cols.reshape(c, k, k, ho, wo)
+    for ki in range(k):
+        for kj in range(k):
+            acc[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += terms[:, ki, kj]
+    return acc[:, pad:pad + h, pad:pad + w].astype(cols.dtype)
 
 
 def conv2d(x, w, b, stride=1, padding=0):

@@ -287,7 +287,6 @@ class TestTiledForward:
 def test_shape_caches_stay_bounded():
     caches = [
         (scan.stacked_orders, scan.ORDER_CACHE_SHAPES),
-        (T._col2im_indices, T.COL2IM_CACHE_ENTRIES),
     ]
     for fn, _ in caches:
         fn.cache_clear()

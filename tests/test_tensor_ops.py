@@ -101,6 +101,17 @@ def _reference_im2col(arr, k, stride, pad):
     return np.ascontiguousarray(windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo)), ho, wo
 
 
+def _reference_col2im(cols, shape, k, stride, pad):
+    """One ``np.bincount`` over the padded-grid index of every column element."""
+    c, h, w = shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    ci, ki, kj, oi, oj = np.ix_(np.arange(c), np.arange(k), np.arange(k), np.arange(ho), np.arange(wo))
+    idx = ci * (hp * wp) + (oi * stride + ki) * wp + (oj * stride + kj)
+    acc = np.bincount(idx.ravel(), weights=cols.ravel(), minlength=c * hp * wp).reshape(c, hp, wp)
+    return acc[:, pad:pad + h, pad:pad + w].astype(cols.dtype)
+
+
 def _layouts(rng, c, h, w, dtype):
     """The same (C, H, W) values C-contiguous, as a transposed view and as a reversed strided slice."""
     yield rng.standard_normal((c, h, w)).astype(dtype)
@@ -177,6 +188,40 @@ class TestConv2d:
                     assert cols.flags.c_contiguous
                     assert (cols.dtype, cols.shape) == (ref.dtype, ref.shape)
                     assert cols.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("same", [False, True], ids=["pad0", "same-pad"])
+    def test_col2im_bytes_equal_bincount_reference(self, rng, k, stride, same):
+        pad = (k - 1) // 2 if same else 0
+        for h, w in [(5, 5), (7, 8), (9, 6)]:
+            ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+            for dtype in (np.float32, np.float64):
+                cols = rng.standard_normal((3 * k * k, ho * wo)).astype(dtype)
+                cols[rng.uniform(size=cols.shape) < 0.3] = -0.0
+                cols[:, ::3] = -0.0  # whole -0.0 columns too: a pixel whose terms are all -0.0 comes out +0.0
+                out = T._col2im(cols, (3, h, w), k, stride, pad)
+                ref = _reference_col2im(cols, (3, h, w), k, stride, pad)
+                assert (out.dtype, out.shape) == (ref.dtype, ref.shape) == (dtype, (3, h, w))
+                assert out.tobytes() == ref.tobytes()
+
+    def test_conv_backward_memory_is_one_column_matrix_and_leaves_only_gradients(self, rng):
+        x = Tensor(rng.standard_normal((16, 128, 128)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(16, dtype=np.float32), requires_grad=True)
+        loss = T.sum_all(T.conv2d(x, w, b, padding=1))
+        cols_bytes = 16 * 9 * 128 * 128 * 4  # 9.4 MB, the input's column matrix
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            backward(loss)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The column gradient plus input-sized grids; a float64 copy of it would be 2x on its own.
+        assert peak - before < 1.6 * cols_bytes
+        leaf_bytes = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes
+        assert leaf_bytes <= after - before < leaf_bytes + 64 * 1024
 
     def test_stride2_output_size(self, rng):
         x = Tensor(rng.standard_normal((2, 8, 8)))
