@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DimensionError
 from .scan import stacked_orders
-from .ssm import zoh_scan, zoh_scan_chunks
+from .ssm import _l_chunks, zoh_scan, zoh_scan_chunks
 from .tensor import Tensor
 
 
@@ -127,12 +127,12 @@ class DirectionalScan2d(Module):
     full-rank step-size projection, rank-N input/output projections shared
     across channels, a per-channel diagonal decay spectrum, and a skip gain.
 
-    One method, ``_operands``, forms the scan's operands from directional
-    sequences.  When nothing is taped, the sequences and their projections
-    are never formed whole: each L-chunk of the scan gathers its own steps
-    and hands them to ``_operands`` (``ssm.zoh_scan_chunks``), so the scan
-    output is the only full ``(K, C, L)`` array.  Taped, ``_operands`` runs
-    on the whole sequences, and the tape keeps them for the backward pass.
+    One method, ``_operands``, forms the scan's operands, each projection
+    one product per L-chunk of the scan, so taped and untaped outputs have
+    the same bits.  Untaped, each L-chunk gathers its own steps and hands
+    them to ``_operands`` (``ssm.zoh_scan_chunks``), so the scan output is
+    the only full ``(K, C, L)`` array.  Taped, ``_operands`` runs on the
+    whole sequences, and the tape keeps them for the backward pass.
     """
 
     def __init__(self, channels, state_dim, direction_idx, *, rng, dtype):
@@ -174,12 +174,13 @@ class DirectionalScan2d(Module):
     def _operands(self, seqs, a):
         """``zoh_scan``'s x, a, b, c_seq and delta for (K, C, L) sequences
         ``seqs``: the step sizes softplus(wd x + bd) as (K, C, L, 1) and the
-        projections wb x and wc x as (K, 1, L, N).
+        projections wb x and wc x as (K, 1, L, N), formed per ``_l_chunks``.
         """
         k, c, length = seqs.shape
         n = a.shape[-1]
-        delta = T.softplus(T.add(T.matmul(self.wd, seqs), self.bd))
-        bs, cs = (T.reshape(T.transpose(T.matmul(w, seqs), (0, 2, 1)), (k, 1, length, n)) for w in (self.wb, self.wc))
+        cols = _l_chunks((length, k, c, n))
+        delta = T.softplus(T.add(T.matmul(self.wd, seqs, cols=cols), self.bd))
+        bs, cs = (T.reshape(T.transpose(T.matmul(w, seqs, cols=cols), (0, 2, 1)), (k, 1, length, n)) for w in (self.wb, self.wc))
         return seqs, a, bs, cs, T.reshape(delta, (k, c, length, 1))
 
 

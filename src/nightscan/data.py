@@ -250,10 +250,16 @@ def load_dataset(data_dir) -> SyntheticDataset:
         raise FormatError(f"malformed dataset index {index_path}: {exc!r}") from exc
     if not isinstance(cfa, str) or cfa not in CFA_BLOCK:
         raise FormatError(f"dataset index {index_path} names unknown CFA {cfa!r}")
+    size = meta["size"]
     samples = []
     for raw_path, gt_path in files:
         raw = read_raw_container(raw_path)
         clean_rgb = read_ppm(gt_path)
+        if (raw.width, raw.height, raw.cfa, clean_rgb.shape) != (size, size, cfa, (3, size, size)):
+            raise FormatError(
+                f"sample {raw_path} is a {raw.width}x{raw.height} {raw.cfa} RAW with a {clean_rgb.shape[2]}x{clean_rgb.shape[1]}"
+                f" ground truth, but the dataset index {index_path} says {size}x{size} {cfa}"
+            )
         clean_packed = pack_mosaic(mosaic_from_rgb(clean_rgb, cfa), cfa)
         samples.append(SyntheticSample(clean_rgb=clean_rgb, clean_packed=clean_packed, raw=raw))
     return SyntheticDataset(samples=samples, cfa=cfa, **meta)

@@ -86,10 +86,10 @@ _CHUNK_ELEMS = 1 << 18
 def _l_chunks(shape):
     """Slices of axis 0 of an array of ``shape`` holding about ``_CHUNK_ELEMS`` elements each.
 
-    A shorter remainder joins the chunk before it.  A chunk of one step
-    would make ``DirectionalScan2d``'s per-chunk projections one-column
-    matrix products, which BLAS runs with another kernel (gemv) whose
-    rounding differs from the whole sequence's product.
+    A shorter remainder joins the chunk before it, so the slices of one
+    chunk's steps are that chunk alone.  ``DirectionalScan2d`` forms each
+    projection one BLAS product per slice, taped or untaped, and BLAS
+    rounds by a product's width: these slices fix the forward's bits.
     """
     step = max(1, _CHUNK_ELEMS // max(1, int(np.prod(shape[1:]))))
     starts = list(range(0, shape[0], step))

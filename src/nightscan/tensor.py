@@ -380,13 +380,20 @@ def pixel_shuffle(a, r):
 # matmul / normalization
 
 
-def matmul(a, b):
-    """Batched matrix product with numpy broadcasting on leading axes."""
+def matmul(a, b, cols=None):
+    """Batched matrix product with numpy broadcasting on leading axes; given
+    ``cols``, slices that tile b's last axis, one product per slice."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise DimensionError("matmul operands must have ndim >= 2")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    out_data = np.matmul(a.data, b.data)
+    if cols is None or len(cols) == 1:
+        out_data = np.matmul(a.data, b.data)
+    else:
+        shape = np.broadcast_shapes(a.data.shape[:-2], b.data.shape[:-2]) + (a.data.shape[-2], b.data.shape[-1])
+        out_data = np.empty(shape, np.result_type(a.data, b.data))
+        for s in cols:
+            np.matmul(a.data, b.data[..., s], out=out_data[..., s])
 
     def bwd(g):
         _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))

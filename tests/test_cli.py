@@ -226,13 +226,17 @@ def test_train_with_malformed_config_is_one_json_error(capsys, tmp_path, config)
     assert _one_json_error(err) == "ConfigError"
 
 
+def _crop_samples(ds, raw_side, gt_side):
+    for s in ds.samples:
+        s.raw = dataclasses.replace(s.raw, width=raw_side, height=raw_side, plane=s.raw.plane[:raw_side, :raw_side])
+        s.clean_rgb = s.clean_rgb[:, :gt_side, :gt_side]
+    return ds
+
+
 def test_train_on_images_smaller_than_the_ssim_window_is_one_json_error(capsys, tmp_path):
     # gen-data refuses such sizes, so crop a generated dataset to 8x8
     data_dir, run_dir, cfg_path = tmp_path / "d", tmp_path / "run", tmp_path / "config.json"
-    ds = gen_synthetic(count=2, size=12, seed=1)
-    for s in ds.samples:
-        s.raw = dataclasses.replace(s.raw, width=8, height=8, plane=s.raw.plane[:8, :8])
-        s.clean_rgb = s.clean_rgb[:, :8, :8]
+    ds = _crop_samples(gen_synthetic(count=2, size=12, seed=1), 8, 8)
     write_dataset(dataclasses.replace(ds, size=8), data_dir)
     cfg_path.write_text(json.dumps({"train": {"steps": 3}}))
     capsys.readouterr()
@@ -240,6 +244,29 @@ def test_train_on_images_smaller_than_the_ssim_window_is_one_json_error(capsys, 
     assert code == 1
     assert _one_json_error(err) == "ConfigError"
     assert not (run_dir / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "make_dataset",
+    [
+        lambda: _crop_samples(gen_synthetic(count=2, size=12, seed=1), 8, 8),
+        lambda: _crop_samples(gen_synthetic(count=2, size=12, seed=1), 12, 8),
+        lambda: dataclasses.replace(gen_synthetic(count=2, size=12, seed=1, cfa="XTRANS"), cfa="RGGB"),
+    ],
+    ids=["cropped-to-8", "cropped-ground-truth", "xtrans-under-rggb"],
+)
+def test_dataset_whose_samples_disagree_with_its_index_is_one_json_error(pipeline_dirs, capsys, tmp_path, make_dataset):
+    # the index says 12x12 RGGB; the samples do not match it
+    data_dir, run_dir = tmp_path / "d", tmp_path / "run"
+    write_dataset(make_dataset(), data_dir)
+    capsys.readouterr()
+    code, _, err = run(capsys, "train", "--data", str(data_dir), "--out", str(run_dir))
+    assert code == 1
+    assert _one_json_error(err) == "FormatError"
+    assert not (run_dir / "model.ckpt").exists()
+    code, _, err = run(capsys, "eval", "--ckpt", str(pipeline_dirs[1] / "model.ckpt"), "--data", str(data_dir))
+    assert code == 1
+    assert _one_json_error(err) == "FormatError"
 
 
 def test_train_with_negative_seed_flag_is_one_json_error(capsys, tmp_path):

@@ -286,8 +286,8 @@ def _mixer(channels, side, directions, dtype, seed=1):
 def test_zoh_scan_bit_equal_to_pair_in_a_scan_block(monkeypatch):
     # level 0 of the default network at packed 64: L = 4096 spans 8 chunks.
     # Untaped, the mixer gathers and projects per chunk and never calls
-    # blocks.zoh_scan; taped, it runs the whole-sequence composition, here
-    # with the reference scan in place of zoh_scan.
+    # blocks.zoh_scan; taped, it projects the whole sequences on the same
+    # chunks and calls blocks.zoh_scan, here the reference scan.
     mixer, x = _mixer(8, 64, 8, np.float32)
     assert 64 * 64 * 8 * 8 * 8 > 4 * ssm._CHUNK_ELEMS
     with no_grad():
@@ -295,6 +295,16 @@ def test_zoh_scan_bit_equal_to_pair_in_a_scan_block(monkeypatch):
     monkeypatch.setattr(blocks, "zoh_scan", reference_zoh_scan)
     want = mixer(x).data
     _assert_same_bits([got], [want])
+
+
+def _untaped_and_taped_macs(mixer, x):
+    # runs the mixer both ways and checks that the outputs have the same bits
+    with no_grad(), T.track_macs() as untaped_macs:
+        got = mixer(x).data
+    with T.track_macs() as taped_macs:
+        want = mixer(x).data
+    _assert_same_bits([got], [want])
+    return untaped_macs["macs"], taped_macs["macs"]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -305,26 +315,18 @@ def test_untaped_mixer_bit_equal_to_taped(directions, dtype, monkeypatch):
     mixer, x = _mixer(channels, (7, 9), directions, dtype)
     monkeypatch.setattr(ssm, "_CHUNK_ELEMS", 10 * directions * channels * 8)
     assert [s.stop - s.start for s in ssm._l_chunks((63, directions, channels, 8))] == [10] * 5 + [13]
-    with no_grad(), T.track_macs() as untaped_macs:
-        got = mixer(x).data
-    with T.track_macs() as taped_macs:
-        want = mixer(x).data
-    _assert_same_bits([got], [want])
     # per direction: the wd, wb and wc projections (3 * 8 * 8 * 63) and the scan (8 * 63 * (3 * 8 + 1))
-    assert untaped_macs["macs"] == taped_macs["macs"] == 24696 * directions
+    assert _untaped_and_taped_macs(mixer, x) == (24696 * directions,) * 2
 
 
-def test_untaped_mixer_within_blas_rounding_of_taped_for_wide_products():
-    # A chunk's projection is its own BLAS product.  Where BLAS computes the
-    # last columns of the whole-sequence product with another kernel than a
-    # chunk's (on OpenBLAS's AVX-512 kernels: C = 32 and L = 33 * 33 in
-    # float32), the untaped output can differ from the taped one by that
-    # rounding; measured up to 0.45 eps of max |y|.
-    mixer, x = _mixer(32, 33, 8, np.float32)
-    with no_grad():
-        got = mixer(x).data
-    want = mixer(x).data
-    assert np.abs(got - want).max() <= np.finfo(np.float32).eps * np.abs(want).max()
+@pytest.mark.parametrize(("channels", "side", "dtype"), [(32, 33, np.float32), (64, 17, np.float32), (16, 66, np.float64)])
+def test_untaped_mixer_bit_equal_to_taped_for_wide_products(channels, side, dtype):
+    # BLAS rounds the last columns of a whole-sequence projection unlike a
+    # chunk's at these shapes; an untaped chunk's own steps are one slice
+    chunks = [s.stop - s.start for s in ssm._l_chunks((side * side, 8, channels, 8))]
+    assert len(chunks) > 1 and all(len(ssm._l_chunks((n, 8, channels, 8))) == 1 for n in chunks)
+    untaped, taped = _untaped_and_taped_macs(*_mixer(channels, side, 8, dtype))
+    assert untaped == taped
 
 
 @pytest.mark.parametrize("mode", [no_grad, contextlib.nullcontext], ids=["untaped", "taped"])
