@@ -14,19 +14,47 @@ fixed order so results stay bit-stable.  The direction merge in
 ``multi_scatter`` (and its adjoint in ``multi_gather``) reduces pairwise (a
 fixed balanced tree), which keeps sums of k identical arrays exact for
 power-of-two k.
+
+``erf`` and ``expit`` are scipy's compiled ufuncs, loaded from their extension
+module without running ``scipy.special``'s ``__init__`` (see
+``_special_ufuncs``).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf as _erf
-from scipy.special import expit as _expit
 
 from .errors import ConfigError, ContractError, DimensionError, NumericError
+
+
+def _special_ufuncs():
+    """scipy's compiled ``(erf, expit)``, loaded from ``scipy.special._special_ufuncs``.
+
+    Importing ``scipy.special`` also loads scipy's array-API layer (about 22 MB
+    and 0.3 s per process).  These are the same objects it exports; a scipy
+    without that module, or without both names in it, is imported as usual.
+    """
+    name = "scipy.special._special_ufuncs"
+    loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    for path in importlib.util.find_spec("scipy.special").submodule_search_locations:
+        spec = importlib.machinery.FileFinder(path, loader).find_spec(name)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if hasattr(module, "erf") and hasattr(module, "expit"):
+                return module.erf, module.expit
+    from scipy.special import erf, expit
+
+    return erf, expit
+
+
+_erf, _expit = _special_ufuncs()
 
 DEFAULT_DTYPE = np.float64
 
