@@ -73,14 +73,19 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    """Upsample by ``kernel``: a transposed conv whose stride equals its kernel, with a bias."""
+    """Upsample by ``kernel``: a transposed conv whose stride equals its kernel (one matmul and a pixel shuffle), with a bias."""
 
     def __init__(self, in_ch, out_ch, kernel, *, rng, dtype):
         self.w = kaiming_uniform(rng, (in_ch, out_ch, kernel, kernel), in_ch * kernel * kernel, dtype)
         self.b = _param(np.zeros(out_ch), dtype)
 
     def __call__(self, x):
-        return T.conv_transpose2d(x, self.w, self.b)
+        ci, co, k, _ = self.w.shape
+        _, h, w = x.shape
+        wmat = T.transpose(T.reshape(self.w, (ci, co * k * k)), (1, 0))
+        cols = T.matmul(wmat, T.reshape(x, (ci, h * w)))
+        up = T.pixel_shuffle(T.reshape(cols, (co * k * k, h, w)), k)
+        return T.add(up, T.reshape(self.b, (co, 1, 1)))
 
 
 class ChannelNorm(Module):

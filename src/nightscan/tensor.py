@@ -231,14 +231,6 @@ def add(a, b):
     return _record(a.data + b.data, (a, b), bwd, "add")
 
 
-def sub(a, b):
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _record(a.data - b.data, (a, b), bwd, "sub")
-
-
 def mul(a, b):
     ad, bd = a.data, b.data
 
@@ -533,32 +525,6 @@ def conv2d(x, w, b, stride=1, padding=0):
             _accumulate(x, _col2im(dcols, x.data.shape, k, stride, padding))
 
     return _record(out, (x, w, b), bwd, "conv2d", wmat.size * ho * wo)
-
-
-def conv_transpose2d(x, w, b):
-    """Stride = kernel transposed conv, a non-overlapping upsampler:
-    (C_in, H, W) with weight (C_in, C_out, k, k) -> (C_out, H*k, W*k)."""
-    if x.data.ndim != 3 or w.data.ndim != 4:
-        raise DimensionError(f"conv_transpose2d expects (C,H,W) and (Ci,Co,k,k), got {x.data.shape}, {w.data.shape}")
-    ci, co, k, kw = w.data.shape
-    if k != kw:
-        raise ConfigError("conv_transpose2d kernels must be square")
-    if ci != x.data.shape[0]:
-        raise DimensionError(f"conv_transpose2d input channels {x.data.shape[0]} != weight {ci}")
-    h, w_in = x.data.shape[1], x.data.shape[2]
-    xmat = x.data.reshape(ci, h * w_in)
-    wmat = w.data.reshape(ci, co * k * k)
-    # column (c, i, j) of pixel (y, x) lands at output (c, y*k + i, x*k + j)
-    out = (wmat.T @ xmat).reshape(co, k, k, h, w_in).transpose(0, 3, 1, 4, 2).reshape(co, h * k, w_in * k)
-
-    def bwd(g):
-        gcols = g.reshape(co, h, k, w_in, k).transpose(0, 2, 4, 1, 3).reshape(co * k * k, h * w_in)
-        _accumulate(b, g.sum(axis=(1, 2)))
-        _accumulate(w, (xmat @ gcols.T).reshape(w.data.shape))
-        if x.requires_grad:
-            _accumulate(x, (wmat @ gcols).reshape(x.data.shape))
-
-    return _record(out + b.data[:, None, None], (x, w, b), bwd, "conv_transpose2d", wmat.size * xmat.shape[1])
 
 
 # ---------------------------------------------------------------------------

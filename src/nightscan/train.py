@@ -62,7 +62,7 @@ class TrainConfig:
 def _norm_term(pred, target, kind):
     if pred.shape != target.shape:
         raise DimensionError(f"loss shapes differ: {pred.shape} vs {target.shape}")
-    diff = T.sub(pred, target)
+    diff = T.add(pred, T.neg(target))
     if kind == "l1":
         return T.mean(T.absolute(diff))
     return T.mean(T.mul(diff, diff))

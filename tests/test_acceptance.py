@@ -11,7 +11,7 @@ from nightscan import ssm
 from nightscan import tensor as T
 from nightscan.blocks import DirectionalScan2d
 from nightscan.data import gen_synthetic, write_dataset
-from nightscan.gradcheck import run_gradcheck
+from nightscan.gradcheck import block_cases, primitive_cases, run_gradcheck
 from nightscan.metrics import psnr, ssim
 from nightscan.model import NetworkConfig, TwoStageNet, network_from_checkpoint, save_checkpoint
 from nightscan.rawio import (
@@ -86,12 +86,13 @@ def test_criterion_2_ssm_oracle():
 
 
 GRADCHECK_CASES = [
-    "add", "sub", "mul", "neg", "scale", "exp", "absolute", "sigmoid", "silu", "gelu", "softplus",
-    "mean", "sum_all", "mean_axis0_keepdims", "mean_spatial", "reshape", "transpose", "pixel_shuffle",
-    "narrow_channels", "concat_channels", "matmul", "layer_norm", "conv2d_s1", "conv2d_s2", "conv2d_1x1",
-    "conv2d_5x5", "conv_transpose2d", "multi_gather", "multi_scatter", "discretize", "selective_scan",
-    "zoh_scan", "channel_attention", "directional_scan", "gated_scan_block", "scan_residual_block",
-    "retinex_decomposition", "adaptive_fusion", "concat_fusion", "residual_conv_block", "two_stage_net",
+    "add", "mul", "neg", "scale", "exp", "absolute", "sigmoid", "silu", "gelu", "softplus", "mean",
+    "sum_all", "mean_axis0_keepdims", "mean_spatial", "reshape", "transpose", "nearest_upsample_2",
+    "nearest_upsample_3", "pixel_shuffle", "narrow_channels", "concat_channels", "matmul", "layer_norm",
+    "conv2d_s1", "conv2d_s2", "conv2d_1x1", "conv2d_5x5", "multi_gather", "multi_scatter", "discretize",
+    "selective_scan", "zoh_scan", "conv_transpose2d", "channel_attention", "directional_scan",
+    "gated_scan_block", "scan_residual_block", "retinex_decomposition", "adaptive_fusion",
+    "concat_fusion", "residual_conv_block", "two_stage_net",
 ]
 
 
@@ -105,6 +106,17 @@ def test_criterion_3_gradient_suite():
     assert _report(3, ok, f"{len(rows)} ops/blocks, worst rel err {worst:.2e} (<= 1e-3), {elapsed:.1f}s (< 2min)"), [
         r for r in rows if not r["pass"]
     ]
+
+
+def test_every_public_tensor_op_has_a_gradcheck_case():
+    # the ops bench/tracer.py wraps, but backward: each needs a case named after it
+    not_ops = {"Tensor", "no_grad", "track_macs", "backward"}
+    ops = [name for name, obj in vars(T).items()
+           if callable(obj) and not name.startswith("_") and name not in not_ops
+           and getattr(obj, "__module__", None) == T.__name__]
+    names = [name for name, _ in primitive_cases() + block_cases()]
+    assert [op for op in ops if not any(name.startswith(op) for name in names)] == []
+    assert len(ops) == 23
 
 
 def test_criterion_4_directional_merge_identity():

@@ -25,10 +25,9 @@ TRACED = [
 # every public tensor callable but Tensor, no_grad and track_macs is wrapped as
 # an op, so a new public name in nightscan.tensor would count in tensor.ops.calls
 TENSOR_OPS = [
-    "absolute", "add", "backward", "concat_channels", "conv2d", "conv_transpose2d", "exp", "gelu",
-    "layer_norm", "matmul", "mean", "mul", "multi_gather", "multi_scatter", "narrow_channels",
-    "nearest_upsample", "neg", "pixel_shuffle", "reshape", "scale", "sigmoid", "silu", "softplus",
-    "sub", "sum_all", "transpose",
+    "absolute", "add", "backward", "concat_channels", "conv2d", "exp", "gelu", "layer_norm",
+    "matmul", "mean", "mul", "multi_gather", "multi_scatter", "narrow_channels", "nearest_upsample",
+    "neg", "pixel_shuffle", "reshape", "scale", "sigmoid", "silu", "softplus", "sum_all", "transpose",
 ]
 
 

@@ -342,7 +342,7 @@ def test_mixer_names_the_op_of_a_non_finite_value(mode):
 
 
 def _mean_sq_err(y, target):
-    diff = T.sub(y, Tensor(target))
+    diff = T.add(y, T.neg(Tensor(target)))
     return T.mean(T.mul(diff, diff))
 
 

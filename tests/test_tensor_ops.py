@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nightscan import tensor as T
+from nightscan.blocks import ConvTranspose2d
 from nightscan.errors import ConfigError, ContractError, DimensionError, NumericError
 from nightscan.scan import ScanDirection, build_order, stacked_orders
 from nightscan.tensor import Tensor, backward, no_grad
@@ -251,9 +252,41 @@ class TestConv2d:
 
     def test_transposed_conv_inverts_downsample_shape(self, rng):
         x = Tensor(rng.standard_normal((3, 4, 4)))
-        w = Tensor(rng.standard_normal((3, 2, 2, 2)))
-        out = T.conv_transpose2d(x, w, Tensor(np.zeros(2)))
+        out = ConvTranspose2d(3, 2, 2, rng=rng, dtype=np.float64)(x)
         assert out.shape == (2, 8, 8)
+
+
+def reference_conv_transpose2d(x, w, b, g):
+    """The stride = kernel transposed conv as one primitive computed it: the
+    output for (x, w, b), and the gradients of x, w and b for output gradient g."""
+    ci, co, k, _ = w.shape
+    _, h, wd = x.shape
+    xmat = x.reshape(ci, h * wd)
+    wmat = w.reshape(ci, co * k * k)
+    out = (wmat.T @ xmat).reshape(co, k, k, h, wd).transpose(0, 3, 1, 4, 2).reshape(co, h * k, wd * k)
+    gcols = g.reshape(co, h, k, wd, k).transpose(0, 2, 4, 1, 3).reshape(co * k * k, h * wd)
+    grads = ((wmat @ gcols).reshape(x.shape), (xmat @ gcols.T).reshape(w.shape), g.sum(axis=(1, 2)))
+    return out + b[:, None, None], grads
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ci,co,h,w", [
+    (3, 2, 4, 4), (16, 8, 8, 8), (8, 16, 5, 7), (32, 16, 16, 16),
+    (64, 32, 9, 13), (8, 8, 64, 64), (64, 3, 33, 17), (1, 1, 1, 1),
+])
+def test_conv_transpose_module_bit_equal_to_reference(k, dtype, ci, co, h, w):
+    rng = np.random.default_rng(ci * 1000 + h * 10 + k)
+    up = ConvTranspose2d(ci, co, k, rng=rng, dtype=dtype)
+    up.b.data = rng.standard_normal(co).astype(dtype)
+    x = Tensor(rng.standard_normal((ci, h, w)).astype(dtype), requires_grad=True)
+    g = rng.standard_normal((co, h * k, w * k)).astype(dtype)
+    out = up(x)
+    backward(T.sum_all(T.mul(out, Tensor(g))))
+    ref, ref_grads = reference_conv_transpose2d(x.data, up.w.data, up.b.data, g)
+    for got, want in zip((out.data, x.grad, up.w.grad, up.b.grad), (ref,) + ref_grads):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestActivations:

@@ -228,7 +228,7 @@ class TestAdamW:
         for t in range(steps):
             import nightscan.tensor as T
 
-            diff = T.sub(w, Tensor(np.array([target])))
+            diff = T.add(w, T.neg(Tensor(np.array([target]))))
             loss = T.mean(T.mul(diff, diff))
             w.grad = None
             backward(loss)
