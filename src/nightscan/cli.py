@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 validation/config/format problems, 2 numeric
-contract violations (NaN/Inf).  Errors go to stderr as one JSON line.
+Exit codes: 0 success, 1 validation/config/format problems and running out
+of memory, 2 numeric contract violations (NaN/Inf).  Errors go to stderr as
+one JSON line.
 Every run first prints the resolved configuration and seed to stdout; the
 seed is null for commands that draw no random numbers.
 """
@@ -21,7 +22,7 @@ from .data import gen_synthetic, load_dataset, write_dataset
 from .errors import ConfigError, NightscanError, NumericError
 from .gradcheck import EPS, TOL, run_gradcheck
 from .model import NetworkConfig, dataclass_from_dict, load_checkpoint, network_from_checkpoint, tiled_forward
-from .rawio import RawImage, pack, read_raw_container, unpack_mosaic, write_ppm, write_raw_container
+from .rawio import pack, read_raw_container, to_counts, unpack_mosaic, write_ppm, write_raw_container
 from .scan import BASES, ScanDirection, build_order
 from .tensor import Tensor, no_grad
 from .train import LossConfig, TrainConfig, evaluate, train, write_metrics_csv
@@ -49,26 +50,9 @@ def _resolve_configs(args):
 
 
 def cmd_gen_data(args):
-    _announce(
-        "gen-data",
-        args.seed,
-        {
-            "count": args.count,
-            "size": args.size,
-            "cfa": args.cfa,
-            "ratio": args.ratio,
-            "sigma_read": args.sigma_read,
-            "out": args.out,
-        },
-    )
-    ds = gen_synthetic(
-        count=args.count,
-        size=args.size,
-        seed=args.seed,
-        cfa=args.cfa,
-        ratio=args.ratio,
-        sigma_read=args.sigma_read,
-    )
+    settings = {"count": args.count, "size": args.size, "cfa": args.cfa, "ratio": args.ratio, "sigma_read": args.sigma_read}
+    _announce("gen-data", args.seed, {**settings, "out": args.out})
+    ds = gen_synthetic(seed=args.seed, **settings)
     write_dataset(ds, args.out)
     print(json.dumps({"written": len(ds.samples), "baseline_psnr": ds.baseline_psnr}))
     return 0
@@ -86,9 +70,7 @@ def cmd_train(args):
     summary = {
         "steps": len(result.log),
         "final_loss": result.log[-1]["loss"],
-        "psnr": result.metrics["psnr"],
-        "ssim": result.metrics["ssim"],
-        "raw_psnr": result.metrics["raw_psnr"],
+        **result.metrics,
         "baseline_psnr": dataset.baseline_psnr,
         "wall_ms": result.wall_ms,
         "checkpoint": result.ckpt_path,
@@ -102,12 +84,12 @@ def cmd_eval(args):
     net, header = network_from_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
     metrics = evaluate(net, dataset)
-    print(json.dumps({"psnr": metrics["psnr"], "ssim": metrics["ssim"], "raw_psnr": metrics["raw_psnr"]}))
+    print(json.dumps(metrics))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_metrics_csv(
             os.path.join(args.out, "metrics.csv"),
-            [{"variant": "eval", "psnr": metrics["psnr"], "ssim": metrics["ssim"], "wall_ms": 0.0, "seed": header["seed"]}],
+            [{"variant": "eval", **metrics, "wall_ms": 0.0, "seed": header["seed"]}],
         )
     return 0
 
@@ -129,21 +111,8 @@ def cmd_infer(args):
     rgb_path = os.path.join(args.out, f"{stem}_rgb.ppm")
     write_ppm(np.clip(o2.data, 0.0, 1.0), rgb_path)
     raw_path = os.path.join(args.out, f"{stem}_raw.rraw")
-    span = raw.white_level - raw.black_level
-    mosaic = unpack_mosaic(np.clip(o1.data, 0.0, 1.0), raw.cfa)
-    counts = np.clip(np.round(raw.black_level + mosaic * span), 0, raw.white_level).astype(np.uint16)
-    write_raw_container(
-        RawImage(
-            width=raw.width,
-            height=raw.height,
-            cfa=raw.cfa,
-            black_level=raw.black_level,
-            white_level=raw.white_level,
-            exposure_ratio=1.0,
-            plane=counts,
-        ),
-        raw_path,
-    )
+    counts = to_counts(unpack_mosaic(np.clip(o1.data, 0.0, 1.0), raw.cfa), raw.black_level, raw.white_level)
+    write_raw_container(replace(raw, exposure_ratio=1.0, plane=counts), raw_path)
     print(json.dumps({"rgb": rgb_path, "raw": raw_path}))
     return 0
 
@@ -282,7 +251,7 @@ def dispatch(argv) -> int:
     except NumericError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
-    except (NightscanError, OSError, ValueError) as exc:
+    except (NightscanError, OSError, ValueError, MemoryError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
 

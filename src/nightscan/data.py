@@ -40,6 +40,7 @@ from .rawio import (
     pack_mosaic,
     read_ppm,
     read_raw_container,
+    to_counts,
     write_ppm,
     write_raw_container,
 )
@@ -82,6 +83,12 @@ class SyntheticDataset:
     black_level: int
     white_level: int
     baseline_psnr: float
+
+
+# index.json's generation fields after its cfa and count, in file order,
+# each with the type load_dataset reads it as
+_INDEX_FIELDS = {"size": int, "seed": int, "ratio": float, "sigma_read": float, "shot_scale": float,
+                 "black_level": int, "white_level": int, "baseline_psnr": float}
 
 
 def cfa_pattern(cfa: str) -> np.ndarray:
@@ -158,7 +165,6 @@ def gen_synthetic(count, size, seed, cfa="RGGB", ratio=100.0, sigma_read=0.02) -
     if not (math.isfinite(sigma_read) and sigma_read >= 0):
         raise ConfigError(f"sigma_read must be finite and >= 0, got {sigma_read}")
 
-    span = float(WHITE_LEVEL - BLACK_LEVEL)
     samples = []
     baseline = []
     for i in range(count):
@@ -170,7 +176,6 @@ def gen_synthetic(count, size, seed, cfa="RGGB", ratio=100.0, sigma_read=0.02) -
         dark = clean_mosaic / ratio
         var = (sigma_read / ratio) ** 2 + (SHOT_SCALE * sigma_read) ** 2 * dark / ratio
         noisy = dark + rng.standard_normal(dark.shape) * np.sqrt(var)
-        counts = np.clip(np.round(BLACK_LEVEL + noisy * span), 0, WHITE_LEVEL).astype(np.uint16)
         raw = RawImage(
             width=size,
             height=size,
@@ -178,10 +183,10 @@ def gen_synthetic(count, size, seed, cfa="RGGB", ratio=100.0, sigma_read=0.02) -
             black_level=BLACK_LEVEL,
             white_level=WHITE_LEVEL,
             exposure_ratio=float(ratio),
-            plane=counts,
+            plane=to_counts(noisy, BLACK_LEVEL, WHITE_LEVEL),
         )
         samples.append(SyntheticSample(clean_rgb=clean_rgb, clean_packed=clean_packed, raw=raw))
-        baseline.append(psnr(pack(raw), clean_packed, 1.0))
+        baseline.append(psnr(pack(raw), clean_packed))
 
     return SyntheticDataset(
         samples=samples,
@@ -209,14 +214,7 @@ def write_dataset(ds: SyntheticDataset, out_dir):
     index = {
         "cfa": ds.cfa,
         "count": len(ds.samples),
-        "size": ds.size,
-        "seed": ds.seed,
-        "ratio": ds.ratio,
-        "sigma_read": ds.sigma_read,
-        "shot_scale": ds.shot_scale,
-        "black_level": ds.black_level,
-        "white_level": ds.white_level,
-        "baseline_psnr": ds.baseline_psnr,
+        **{name: getattr(ds, name) for name in _INDEX_FIELDS},
         "samples": entries,
     }
     with open(os.path.join(out_dir, "index.json"), "w", encoding="utf-8") as fh:
@@ -235,21 +233,15 @@ def load_dataset(data_dir) -> SyntheticDataset:
         raise FormatError(f"malformed dataset index: {exc}") from exc
     try:
         cfa = index["cfa"]
+        count = int(index["count"])
         files = [(os.path.join(data_dir, e["raw"]), os.path.join(data_dir, e["gt"])) for e in index["samples"]]
-        meta = dict(
-            size=int(index["size"]),
-            seed=int(index["seed"]),
-            ratio=float(index["ratio"]),
-            sigma_read=float(index["sigma_read"]),
-            shot_scale=float(index["shot_scale"]),
-            black_level=int(index["black_level"]),
-            white_level=int(index["white_level"]),
-            baseline_psnr=float(index["baseline_psnr"]),
-        )
+        meta = {name: kind(index[name]) for name, kind in _INDEX_FIELDS.items()}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed dataset index {index_path}: {exc!r}") from exc
     if not isinstance(cfa, str) or cfa not in CFA_BLOCK:
         raise FormatError(f"dataset index {index_path} names unknown CFA {cfa!r}")
+    if count != len(files):
+        raise FormatError(f"dataset index {index_path} has count {count} but lists {len(files)} samples")
     size = meta["size"]
     samples = []
     for raw_path, gt_path in files:

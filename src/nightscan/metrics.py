@@ -14,8 +14,8 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def psnr(a, b, max_val=1.0) -> float:
-    """10*log10(max^2 / MSE); returns math.inf when the images are identical."""
+def psnr(a, b) -> float:
+    """10*log10(1 / MSE) for images in [0, 1]; returns math.inf when they are identical."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -23,7 +23,7 @@ def psnr(a, b, max_val=1.0) -> float:
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(max_val * max_val / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 def _gaussian_window(size, sigma):
@@ -40,8 +40,9 @@ def _filter_valid(img, window):
     return np.tensordot(patches, window, axes=([2, 3], [0, 1]))
 
 
-def ssim(a, b, max_val=1.0) -> float:
-    """Mean structural similarity with the standard 11x11 Gaussian window.
+def ssim(a, b) -> float:
+    """Mean structural similarity of images in [0, 1] with the standard 11x11
+    Gaussian window.
 
     Accepts (H, W) or (C, H, W); channels are averaged.  Spatial dims must
     be at least the window size.
@@ -59,8 +60,8 @@ def ssim(a, b, max_val=1.0) -> float:
         raise DimensionError(f"ssim needs spatial dims >= {SSIM_WINDOW}, got {a.shape}")
 
     window = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
-    c1 = (SSIM_K1 * max_val) ** 2
-    c2 = (SSIM_K2 * max_val) ** 2
+    c1 = SSIM_K1 ** 2
+    c2 = SSIM_K2 ** 2
     scores = []
     for x, y in zip(a, b):
         mu_x = _filter_valid(x, window)

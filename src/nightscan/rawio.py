@@ -16,7 +16,7 @@ Packing turns the single-plane mosaic into one channel per CFA site at
 reduced resolution: 2x2 blocks -> 4 channels for Bayer RGGB, 3x3 blocks ->
 9 channels for X-Trans (channel c of a bxb block is site (c // b, c % b)).
 Values are normalized by black/white level, scaled by the exposure ratio,
-then clipped to [0, 1].
+then clipped to [0, 1]; ``to_counts`` turns unit values back into counts.
 """
 
 from __future__ import annotations
@@ -90,6 +90,16 @@ def pack(raw: RawImage) -> np.ndarray:
     norm = (raw.plane.astype(np.float64) - raw.black_level) / span
     scaled = np.clip(norm * raw.exposure_ratio, 0.0, 1.0)
     return pack_mosaic(scaled, raw.cfa)
+
+
+def to_counts(values, black_level, white_level) -> np.ndarray:
+    """Unit values to u16 counts, the inverse of ``pack``'s normalization at
+    exposure 1: round ``black + v * span``, then clip to [0, white_level].
+
+    The levels enter as Python ints, so a float32 ``values`` stays float32
+    (NEP 50).  Values below 0 give counts below the black level."""
+    black, white = int(black_level), int(white_level)
+    return np.clip(np.round(black + values * (white - black)), 0, white).astype(np.uint16)
 
 
 def _write_container(path, magic, header: dict, payload):

@@ -70,23 +70,19 @@ def _norm_term(pred, target, kind):
 
 def total_loss(o1, o2, gt_raw, gt_srgb, cfg: LossConfig):
     """alpha * norm(o1, gt_raw) + beta * norm(o2, gt_srgb); zero-weight terms are skipped."""
-    terms = []
-    parts = {}
-    if cfg.alpha_raw > 0:
-        raw_term = _norm_term(o1, gt_raw, cfg.raw_norm)
-        parts["raw"] = raw_term.item()
-        terms.append(T.scale(raw_term, cfg.alpha_raw))
-    else:
-        parts["raw"] = 0.0
-    if cfg.beta_srgb > 0:
-        srgb_term = _norm_term(o2, gt_srgb, cfg.srgb_norm)
-        parts["srgb"] = srgb_term.item()
-        terms.append(T.scale(srgb_term, cfg.beta_srgb))
-    else:
-        parts["srgb"] = 0.0
-    if not terms:
+    loss, parts = None, {}
+    for key, pred, target, weight, norm in (
+        ("raw", o1, gt_raw, cfg.alpha_raw, cfg.raw_norm),
+        ("srgb", o2, gt_srgb, cfg.beta_srgb, cfg.srgb_norm),
+    ):
+        parts[key] = 0.0
+        if weight > 0:
+            term = _norm_term(pred, target, norm)
+            parts[key] = term.item()
+            term = T.scale(term, weight)
+            loss = term if loss is None else T.add(loss, term)
+    if loss is None:
         raise ConfigError("at least one loss weight must be positive")
-    loss = terms[0] if len(terms) == 1 else T.add(terms[0], terms[1])
     return loss, parts
 
 
@@ -170,6 +166,8 @@ class AdamW:
 def evaluate(net: TwoStageNet, dataset: SyntheticDataset):
     """Mean PSNR/SSIM of clipped RGB outputs against the clean targets,
     plus the packed raw-domain PSNR of the first-stage output."""
+    if not dataset.samples:
+        raise ConfigError("dataset is empty")
     rows = []
     for sample in dataset.samples:
         packed_in = pack(sample.raw).astype(np.float32)
@@ -179,16 +177,12 @@ def evaluate(net: TwoStageNet, dataset: SyntheticDataset):
         raw_pred = np.clip(o1.data.astype(np.float64), 0.0, 1.0)
         rows.append(
             {
-                "psnr": psnr(rgb, sample.clean_rgb, 1.0),
-                "ssim": ssim(rgb, sample.clean_rgb, 1.0),
-                "raw_psnr": psnr(raw_pred, sample.clean_packed, 1.0),
+                "psnr": psnr(rgb, sample.clean_rgb),
+                "ssim": ssim(rgb, sample.clean_rgb),
+                "raw_psnr": psnr(raw_pred, sample.clean_packed),
             }
         )
-    return {
-        "psnr": float(np.mean([r["psnr"] for r in rows])),
-        "ssim": float(np.mean([r["ssim"] for r in rows])),
-        "raw_psnr": float(np.mean([r["raw_psnr"] for r in rows])),
-    }
+    return {key: float(np.mean([r[key] for r in rows])) for key in rows[0]}
 
 
 @dataclass
@@ -256,15 +250,7 @@ def train(
         net.zero_grad()
         backward(loss)
         opt.step(lr)
-        log.append(
-            {
-                "step": step,
-                "lr": lr,
-                "loss": loss.item(),
-                "loss_raw": parts["raw"],
-                "loss_srgb": parts["srgb"],
-            }
-        )
+        log.append({"step": step, "lr": lr, "loss": loss.item(), **{f"loss_{key}": v for key, v in parts.items()}})
     wall_ms = (time.perf_counter() - start) * 1000.0
 
     ckpt_path = None
@@ -279,10 +265,10 @@ def train(
         save_checkpoint(ckpt_path, net, echo, train_cfg.seed)
         net, _ = network_from_checkpoint(ckpt_path)
         metrics = evaluate(net, dataset)
-        _write_train_log(os.path.join(out_dir, "train_log.csv"), log)
+        _write_csv(os.path.join(out_dir, "train_log.csv"), list(log[0]), log)
         write_metrics_csv(
             os.path.join(out_dir, "metrics.csv"),
-            [{"variant": "train", "psnr": metrics["psnr"], "ssim": metrics["ssim"], "wall_ms": wall_ms, "seed": train_cfg.seed}],
+            [{"variant": "train", **metrics, "wall_ms": wall_ms, "seed": train_cfg.seed}],
         )
     else:
         metrics = evaluate(net, dataset)
@@ -296,17 +282,14 @@ def train(
     )
 
 
-def _write_train_log(path, log):
+def _write_csv(path, columns, rows):
+    """One header line, then each row's values under ``columns``; ``str`` of
+    a float is its shortest round-trip repr."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,lr,loss,loss_raw,loss_srgb\n")
-        for row in log:
-            fh.write(
-                f"{row['step']},{row['lr']!r},{row['loss']!r},{row['loss_raw']!r},{row['loss_srgb']!r}\n"
-            )
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(str(row[c]) for c in columns) + "\n")
 
 
 def write_metrics_csv(path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("variant,psnr,ssim,wall_ms,seed\n")
-        for row in rows:
-            fh.write(f"{row['variant']},{row['psnr']!r},{row['ssim']!r},{row['wall_ms']!r},{row['seed']}\n")
+    _write_csv(path, ("variant", "psnr", "ssim", "wall_ms", "seed"), rows)

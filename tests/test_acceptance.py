@@ -211,7 +211,7 @@ def test_criterion_8_metric_sanity():
     img = rng.uniform(0, 1, (3, 32, 32))
     ident_ok = psnr(img, img) == math.inf and ssim(img, img) == pytest.approx(1.0)
 
-    closed_ok = abs(psnr(np.zeros(64), np.full(64, 0.1), 1.0) - 20.0) < 1e-9
+    closed_ok = abs(psnr(np.zeros(64), np.full(64, 0.1)) - 20.0) < 1e-9
 
     clean = rng.uniform(0.2, 0.8, (3, 64, 64))
     noise = np.random.default_rng(9).standard_normal(clean.shape)

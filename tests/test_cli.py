@@ -6,11 +6,13 @@ import struct
 import numpy as np
 import pytest
 
+from nightscan import cli
 from nightscan.cli import build_parser, dispatch
 from nightscan.data import gen_synthetic, write_dataset
-from nightscan.model import NetworkConfig, TwoStageNet, save_checkpoint
+from nightscan.model import NetworkConfig, TwoStageNet, network_from_checkpoint, save_checkpoint
+from nightscan.tensor import Tensor, no_grad
 from nightscan.train import LossConfig, TrainConfig
-from nightscan.rawio import read_ppm, read_raw_container
+from nightscan.rawio import pack, read_ppm, read_raw_container
 
 
 def run(capsys, *argv):
@@ -107,9 +109,18 @@ def test_infer_writes_rgb_and_raw_outputs(pipeline_dirs, capsys, tmp_path):
     paths = json.loads(out.strip().splitlines()[-1])
     rgb = read_ppm(paths["rgb"])
     assert rgb.shape == (3, 16, 16)
+    raw_in = read_raw_container(data_dir / "sample_0000.rraw")
     raw_out = read_raw_container(paths["raw"])
     assert raw_out.plane.shape == (16, 16)
     assert raw_out.exposure_ratio == 1.0
+    fields = ("width", "height", "cfa", "black_level", "white_level")
+    assert [getattr(raw_out, f) for f in fields] == [getattr(raw_in, f) for f in fields]
+    # the RRAW holds the clipped first-stage output to within half a count
+    net, _ = network_from_checkpoint(run_dir / "model.ckpt")
+    with no_grad():
+        o1, _ = net(Tensor(pack(raw_in).astype(np.float32)))
+    span = raw_in.white_level - raw_in.black_level
+    np.testing.assert_allclose(pack(raw_out), np.clip(o1.data, 0.0, 1.0), rtol=0, atol=0.5 / span + 1e-6)
 
 
 def test_infer_is_deterministic(pipeline_dirs, capsys, tmp_path):
@@ -126,7 +137,7 @@ def test_infer_is_deterministic(pipeline_dirs, capsys, tmp_path):
         )
         assert code == 0
         paths = json.loads(out.strip().splitlines()[-1])
-        outs.append(open(paths["rgb"], "rb").read())
+        outs.append([open(paths[key], "rb").read() for key in ("rgb", "raw")])
     assert outs[0] == outs[1]
 
 
@@ -180,6 +191,41 @@ def test_gen_data_with_unusable_settings_is_one_json_error(capsys, tmp_path, fla
 def test_eval_missing_dataset_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--ckpt", str(tmp_path / "x.ckpt"), "--data", str(tmp_path))
     assert code == 1
+
+
+def test_eval_on_an_empty_dataset_is_one_json_error(pipeline_dirs, capsys, tmp_path):
+    write_dataset(dataclasses.replace(gen_synthetic(count=1, size=16, seed=0), samples=[]), tmp_path)
+    capsys.readouterr()
+    code, out, err = run(capsys, "eval", "--ckpt", str(pipeline_dirs[1] / "model.ckpt"), "--data", str(tmp_path))
+    assert code == 1
+    assert len(out.strip().splitlines()) == 1  # the announcement only
+    assert _one_json_error(err) == "ConfigError"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise np._core._exceptions._ArrayMemoryError((1 << 40,), np.dtype(np.float32))
+
+
+def test_gen_data_out_of_memory_is_one_json_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "gen_synthetic", _out_of_memory)
+    code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--size", "12")
+    assert code == 1
+    assert _one_json_error(err) == "MemoryError"
+
+
+def test_infer_out_of_memory_in_the_network_is_one_json_error(pipeline_dirs, capsys, tmp_path, monkeypatch):
+    def raising_net(*args, **kwargs):
+        raise MemoryError
+
+    data_dir, run_dir = pipeline_dirs
+    monkeypatch.setattr(cli, "network_from_checkpoint", lambda path: (raising_net, {}))
+    capsys.readouterr()
+    code, _, err = run(
+        capsys, "infer", "--ckpt", str(run_dir / "model.ckpt"), "--input", str(data_dir / "sample_0000.rraw"),
+        "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert _one_json_error(err) == "MemoryError"
 
 
 def _one_json_error(err):

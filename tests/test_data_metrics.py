@@ -25,7 +25,7 @@ class TestPsnr:
     def test_closed_form_20db(self):
         a = np.zeros(100)
         b = np.full(100, 0.1)  # MSE = 0.01, max = 1
-        assert abs(psnr(a, b, 1.0) - 20.0) < 1e-9
+        assert abs(psnr(a, b) - 20.0) < 1e-9
 
     def test_monotone_decreasing_in_noise(self):
         rng = np.random.default_rng(1)

@@ -194,8 +194,9 @@ def test_malformed_ppm_header_is_format_error(tmp_path, blob):
         lambda index: {**index, "samples": [{"raw": 1, "gt": 2}]},
         lambda index: {**index, "cfa": "BGGR"},
         lambda index: {**index, "size": None},
+        lambda index: {**index, "count": 2},
     ],
-    ids=["empty-object", "list", "samples-number", "entry-paths-numbers", "unknown-cfa", "null-size"],
+    ids=["empty-object", "list", "samples-number", "entry-paths-numbers", "unknown-cfa", "null-size", "count-disagrees"],
 )
 def test_malformed_dataset_index_is_format_error(tmp_path, edit):
     write_dataset(gen_synthetic(count=1, size=12, seed=0), tmp_path)

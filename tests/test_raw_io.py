@@ -11,6 +11,7 @@ from nightscan.rawio import (
     pack_mosaic,
     read_ppm,
     read_raw_container,
+    to_counts,
     unpack_mosaic,
     write_ppm,
     write_raw_container,
@@ -76,6 +77,31 @@ class TestPack:
     def test_channel_count_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             unpack_mosaic(np.zeros((4, 2, 2)), "XTRANS")
+
+
+class TestToCounts:
+    black, white = 512, 16322
+
+    def test_negative_value_gives_count_below_black(self):
+        # generator noise can dip below the black level
+        assert to_counts(np.array([-0.01]), self.black, self.white)[0] == 354
+
+    def test_floor_is_zero_and_ceiling_is_white(self):
+        counts = to_counts(np.array([-1.0, 0.0, 1.0, 2.0]), self.black, self.white)
+        assert counts.dtype == np.uint16
+        np.testing.assert_array_equal(counts, [0, self.black, self.white, self.white])
+
+    def test_pack_inverts_it_at_exposure_one(self):
+        values = np.random.default_rng(2).uniform(-0.2, 1.2, (6, 8))
+        raw = RawImage(width=8, height=6, cfa="RGGB", black_level=self.black, white_level=self.white,
+                       exposure_ratio=1.0, plane=to_counts(values, self.black, self.white))
+        span = self.white - self.black
+        np.testing.assert_allclose(pack(raw), pack_mosaic(np.clip(values, 0, 1), "RGGB"), rtol=0, atol=0.5 / span)
+
+    def test_numpy_levels_keep_float32_arithmetic(self):
+        values = np.random.default_rng(3).uniform(0, 1, 1000).astype(np.float32)
+        expected = np.clip(np.round(self.black + values * (self.white - self.black)), 0, self.white).astype(np.uint16)
+        np.testing.assert_array_equal(to_counts(values, np.int64(self.black), np.int64(self.white)), expected)
 
 
 class TestContainer:
