@@ -14,8 +14,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DimensionError
 from .scan import stacked_orders
-from .ssm import _l_chunks, zoh_scan, zoh_scan_chunks
-from .tensor import Tensor
+from .ssm import zoh_scan, zoh_scan_chunks
+from .tensor import Tensor, _l_chunks
 
 
 class Module:

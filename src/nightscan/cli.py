@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .model import NetworkConfig, dataclass_from_dict, load_checkpoint, network_
 from .rawio import pack, read_raw_container, to_counts, unpack_mosaic, write_ppm, write_raw_container
 from .scan import BASES, ScanDirection, build_order
 from .tensor import Tensor, no_grad
-from .train import LossConfig, TrainConfig, evaluate, train, write_metrics_csv
+from .train import LossConfig, TrainConfig, config_echo, evaluate, train, write_metrics_csv
 
 DIRECTION_NAMES = {base.replace("_", "-"): base for base in BASES}
 
@@ -60,11 +60,7 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     net_cfg, train_cfg, loss_cfg = _resolve_configs(args)
-    _announce(
-        "train",
-        train_cfg.seed,
-        {"network": asdict(net_cfg), "train": asdict(train_cfg), "loss": asdict(loss_cfg), "data": args.data, "out": args.out},
-    )
+    _announce("train", train_cfg.seed, {**config_echo(net_cfg, train_cfg, loss_cfg), "data": args.data, "out": args.out})
     dataset = load_dataset(args.data)
     result = train(dataset, net_cfg, train_cfg, loss_cfg, out_dir=args.out)
     summary = {

@@ -47,7 +47,7 @@ N)`` C order, ``c_seq``'s own layout for its gradient), because the sums
 downstream of them add in memory order.
 
 Memory.  The forward walks the sequence in L-chunks of about
-``_CHUNK_ELEMS`` elements (512 steps at level 0 of the default network; a
+``tensor._CHUNK_ELEMS`` elements (512 steps at level 0 of the default network; a
 shorter remainder joins the last chunk).  Each chunk asks a source for its
 steps of x, a, b, c and delta: ``zoh_scan``'s source slices its full
 inputs, and ``zoh_scan_chunks`` takes the caller's, through which an
@@ -72,44 +72,25 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, _accumulate, _check_finite, _needs_grad, _record, _unbroadcast
+from .tensor import Tensor, _accumulate, _check_finite, _l_chunks, _needs_grad, _record, _unbroadcast
 
 # Below this |delta * a| the (exp(u) - 1) / u factor switches to its Taylor
 # series to avoid the removable singularity at u = 0.
 ZOH_TAYLOR_THRESHOLD = 1e-4
-
-# Elements per L-chunk of ``zoh_scan``'s forward and per block of the search
-# for small |u| in ``_with_series``: bounds their temporaries to a few MB.
-_CHUNK_ELEMS = 1 << 18
-
-
-def _l_chunks(shape):
-    """Slices of axis 0 of an array of ``shape`` holding about ``_CHUNK_ELEMS`` elements each.
-
-    A shorter remainder joins the chunk before it, so the slices of one
-    chunk's steps are that chunk alone.  ``DirectionalScan2d`` forms each
-    projection one BLAS product per slice, taped or untaped, and BLAS
-    rounds by a product's width: these slices fix the forward's bits.
-    """
-    step = max(1, _CHUNK_ELEMS // max(1, int(np.prod(shape[1:]))))
-    starts = list(range(0, shape[0], step))
-    if len(starts) > 1 and shape[0] % step:
-        starts.pop()
-    return [slice(i, j) for i, j in zip(starts, starts[1:] + [shape[0]])]
 
 
 def _with_series(out, u, series):
     """Overwrite ``out`` by ``series(u)`` where |u| < ZOH_TAYLOR_THRESHOLD.
 
     Both arrays must be C-contiguous (a reshaped copy would take the writes
-    instead); the small entries are found chunk by chunk and the series runs
-    on those entries only.
+    instead); the small entries are found one ``_l_chunks`` slice at a time
+    and the series runs on those entries only.
     """
     if not (out.flags.c_contiguous and u.flags.c_contiguous):
         raise ContractError("the ZOH series needs C-contiguous arrays")
     flat_u, flat_out = u.reshape(-1), out.reshape(-1)
-    for i in range(0, flat_u.size, _CHUNK_ELEMS):
-        idx = np.flatnonzero(np.abs(flat_u[i:i + _CHUNK_ELEMS]) < ZOH_TAYLOR_THRESHOLD) + i
+    for s in _l_chunks(flat_u.shape):
+        idx = np.flatnonzero(np.abs(flat_u[s]) < ZOH_TAYLOR_THRESHOLD) + s.start
         if idx.size:
             flat_out[idx] = series(flat_u[idx])
     return out
@@ -498,8 +479,8 @@ def zoh_scan(x, a, b, c_seq, delta, d_skip):
     """``selective_scan(x, *discretize(a, b, delta), c_seq, d_skip)``, on tensors.
 
     Discretization is fused into the scan: each L-chunk of about
-    ``_CHUNK_ELEMS`` elements forms its own abar, bbar and states in the
-    ``(L, N) + G`` layout, and only the last state carries into the next
+    ``tensor._CHUNK_ELEMS`` elements forms its own abar, bbar and states in
+    the ``(L, N) + G`` layout, and only the last state carries into the next
     chunk.  When the result is taped the states are kept, in one
     ``(L, N) + G`` array, and ``_fused_backward`` re-forms the rest.  The
     output and every gradient have the reference's bits, and for one faulty

@@ -399,6 +399,27 @@ def pixel_shuffle(a, r):
 # ---------------------------------------------------------------------------
 # matmul / normalization
 
+# Elements per slice of ``_l_chunks``: per L-chunk of the scan (and per block
+# of its search for small |u|) and per band of conv2d's columns, which bounds
+# their temporaries to a few MB.
+_CHUNK_ELEMS = 1 << 18
+
+
+def _l_chunks(shape):
+    """Slices of axis 0 of an array of ``shape`` holding about ``_CHUNK_ELEMS`` elements each.
+
+    A shorter remainder joins the chunk before it, so the slices of one
+    chunk's steps are that chunk alone.  BLAS rounds by a product's width,
+    and the products that ``matmul(..., cols=...)`` forms for
+    ``DirectionalScan2d`` and the bands of ``conv2d`` are one per slice,
+    taped or untaped: these slices fix the forward's bits.
+    """
+    step = max(1, _CHUNK_ELEMS // max(1, int(np.prod(shape[1:]))))
+    starts = list(range(0, shape[0], step))
+    if len(starts) > 1 and shape[0] % step:
+        starts.pop()
+    return [slice(i, j) for i, j in zip(starts, starts[1:] + [shape[0]])]
+
 
 def matmul(a, b, cols=None):
     """Batched matrix product with numpy broadcasting on leading axes; given
@@ -453,13 +474,11 @@ def layer_norm(a, gamma, beta):
 # convolution
 
 
-def _im2col(arr, k, stride, pad):
-    """(C, H, W) -> the C-contiguous (C*k*k, H'*W') matrix of k x k windows.
+def _windows(arr, k, stride, pad):
+    """(C, H, W) -> the (C, k, k, H', W') strided view of its k x k windows.
 
-    The (c, ki, kj, oi, oj) windows are one strided view of a C-contiguous
-    zero-padded copy, or of the input itself when there is no padding, and
-    ``reshape`` copies them once.  A 1 x 1 stride-1 kernel needs no copy, so
-    its matrix is a view of a contiguous input.
+    The view is over a C-contiguous zero-padded copy, or over the input
+    itself when there is no padding.
     """
     c, h, w = arr.shape
     if pad:
@@ -471,8 +490,39 @@ def _im2col(arr, k, stride, pad):
     ho = (arr.shape[1] - k) // stride + 1
     wo = (arr.shape[2] - k) // stride + 1
     sc, sh, sw = arr.strides
-    windows = np.ndarray((c, k, k, ho, wo), arr.dtype, arr, 0, (sc, sh, sw, sh * stride, sw * stride))
-    return windows.reshape(c * k * k, ho * wo), ho, wo
+    return np.ndarray((c, k, k, ho, wo), arr.dtype, arr, 0, (sc, sh, sw, sh * stride, sw * stride))
+
+
+def _cols(windows, rows):
+    """The C-contiguous (C*k*k, rows*W') matrix of output rows ``rows`` of
+    ``_windows``, copied once by ``reshape``.  A 1 x 1 stride-1 kernel needs
+    no copy, so its matrix is a view of a contiguous input."""
+    c, k = windows.shape[:2]
+    return windows[:, :, :, rows].reshape(c * k * k, -1)
+
+
+def _row_bands(ho, wo, row_elems):
+    """Slices of conv2d's H' output rows, ``row_elems`` column elements per
+    row: ``_l_chunks`` over groups of rows that hold a multiple of 16 columns,
+    the rows short of a group joining the last band.
+
+    OpenBLAS computes a product's last columns past a multiple of its panel
+    width (16 or a divisor of it) with another kernel than the full panels,
+    so a band that ended anywhere else would round its last columns unlike
+    the whole product.  Band by band, every column gets the whole product's
+    bits when the products are large enough to skip OpenBLAS's small-matrix
+    kernel: swept for 8 or more output channels.
+    """
+    group = 16 // math.gcd(wo, 16)
+    groups = max(1, ho // group)
+    bands = _l_chunks((groups, group * row_elems))
+    return [slice(s.start * group, ho if s.stop == groups else s.stop * group) for s in bands]
+
+
+def _im2col(arr, k, stride, pad):
+    """(C, H, W) -> the whole (C*k*k, H'*W') column matrix: one band of every output row."""
+    windows = _windows(arr, k, stride, pad)
+    return _cols(windows, slice(None)), windows.shape[3], windows.shape[4]
 
 
 def _col2im(cols, shape, k, stride, pad):
@@ -493,7 +543,15 @@ def _col2im(cols, shape, k, stride, pad):
 
 
 def conv2d(x, w, b, stride=1, padding=0):
-    """2-D cross-correlation (no kernel flip): (C_in, H, W) -> (C_out, H', W')."""
+    """2-D cross-correlation (no kernel flip): (C_in, H, W) -> (C_out, H', W').
+
+    The forward forms, multiplies and drops its columns one band of output
+    rows at a time (``_row_bands``), each band's product written into its
+    rows of one output, so no transient is k² times the input (Anderson et
+    al., arXiv 1709.03395).  Taped or not, it is the same code and the same
+    bits.  The weight gradient sums over all columns, so the backward keeps
+    one whole-width product on rebuilt columns.
+    """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise DimensionError(f"conv2d expects (C,H,W) and (Co,Ci,k,k), got {x.data.shape}, {w.data.shape}")
     co, ci, kh, kw = w.data.shape
@@ -511,10 +569,15 @@ def conv2d(x, w, b, stride=1, padding=0):
         raise DimensionError(f"conv2d kernel {kh} does not fit {x.data.shape[1:]} padded by {padding}")
 
     k = kh
-    cols, ho, wo = _im2col(x.data, k, stride, padding)
+    windows = _windows(x.data, k, stride, padding)
+    ho, wo = windows.shape[3:]
     wmat = w.data.reshape(co, ci * k * k)
-    out = (wmat @ cols + b.data[:, None]).reshape(co, ho, wo)
-    del cols  # k² times the input: the backward rebuilds it from x, which the tape holds anyway
+    out = np.empty((co, ho * wo), np.result_type(wmat, x.data, b.data))
+    for rows in _row_bands(ho, wo, ci * k * k * wo):
+        np.matmul(wmat, _cols(windows, rows), out=out[:, rows.start * wo:rows.stop * wo])
+    out += b.data[:, None]
+    out = out.reshape(co, ho, wo)
+    del windows  # frees the padded copy; the backward rebuilds its columns from x
 
     def bwd(g):
         gm = g.reshape(co, ho * wo)

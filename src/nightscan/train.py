@@ -185,6 +185,11 @@ def evaluate(net: TwoStageNet, dataset: SyntheticDataset):
     return {key: float(np.mean([r[key] for r in rows])) for key in rows[0]}
 
 
+def config_echo(net_cfg, train_cfg, loss_cfg):
+    """The resolved configuration as a checkpoint echoes it and ``nightscan train`` announces it."""
+    return {"network": asdict(net_cfg), "train": asdict(train_cfg), "loss": asdict(loss_cfg)}
+
+
 @dataclass
 class TrainResult:
     net: TwoStageNet
@@ -257,12 +262,7 @@ def train(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         ckpt_path = os.path.join(out_dir, "model.ckpt")
-        echo = {
-            "network": asdict(net_cfg),
-            "train": asdict(train_cfg),
-            "loss": asdict(loss_cfg),
-        }
-        save_checkpoint(ckpt_path, net, echo, train_cfg.seed)
+        save_checkpoint(ckpt_path, net, config_echo(net_cfg, train_cfg, loss_cfg), train_cfg.seed)
         net, _ = network_from_checkpoint(ckpt_path)
         metrics = evaluate(net, dataset)
         _write_csv(os.path.join(out_dir, "train_log.csv"), list(log[0]), log)

@@ -132,7 +132,7 @@ def test_zoh_scan_bit_equal_to_pair(case, steps, monkeypatch):
     a, b, delta, x, c, d, _ = (Tensor(np.asarray(v, dtype)) for v in arrays)
     if steps is not None:
         # chunk boundaries every ``steps`` steps of the G + (L, N) broadcast shape
-        monkeypatch.setattr(ssm, "_CHUNK_ELEMS", steps * int(np.prod(case[1])) * case[3])
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", steps * int(np.prod(case[1])) * case[3])
     with no_grad():
         got = ssm.zoh_scan(x, a, b, c, delta, d).data
         want = reference_zoh_scan(x, a, b, c, delta, d).data
@@ -162,7 +162,7 @@ def test_taped_zoh_scan_bit_equal_to_reference(case, steps, monkeypatch):
     arrays, dtype = _case(*case)
     if steps is not None:
         # forward chunk boundaries every ``steps`` steps of the G + (L, N) broadcast shape
-        monkeypatch.setattr(ssm, "_CHUNK_ELEMS", steps * int(np.prod(case[1])) * case[3])
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", steps * int(np.prod(case[1])) * case[3])
     _assert_same_bits(_taped(ssm.zoh_scan, arrays, dtype), _taped(reference_zoh_scan, arrays, dtype))
 
 
@@ -289,7 +289,7 @@ def test_zoh_scan_bit_equal_to_pair_in_a_scan_block(monkeypatch):
     # blocks.zoh_scan; taped, it projects the whole sequences on the same
     # chunks and calls blocks.zoh_scan, here the reference scan.
     mixer, x = _mixer(8, 64, 8, np.float32)
-    assert 64 * 64 * 8 * 8 * 8 > 4 * ssm._CHUNK_ELEMS
+    assert 64 * 64 * 8 * 8 * 8 > 4 * T._CHUNK_ELEMS
     with no_grad():
         got = mixer(x).data
     monkeypatch.setattr(blocks, "zoh_scan", reference_zoh_scan)
@@ -313,8 +313,8 @@ def test_untaped_mixer_bit_equal_to_taped(directions, dtype, monkeypatch):
     # L = 7 * 9 = 63 in chunks of 10 steps: the 3 left over join the last chunk
     channels = 8
     mixer, x = _mixer(channels, (7, 9), directions, dtype)
-    monkeypatch.setattr(ssm, "_CHUNK_ELEMS", 10 * directions * channels * 8)
-    assert [s.stop - s.start for s in ssm._l_chunks((63, directions, channels, 8))] == [10] * 5 + [13]
+    monkeypatch.setattr(T, "_CHUNK_ELEMS", 10 * directions * channels * 8)
+    assert [s.stop - s.start for s in T._l_chunks((63, directions, channels, 8))] == [10] * 5 + [13]
     # per direction: the wd, wb and wc projections (3 * 8 * 8 * 63) and the scan (8 * 63 * (3 * 8 + 1))
     assert _untaped_and_taped_macs(mixer, x) == (24696 * directions,) * 2
 
@@ -323,8 +323,8 @@ def test_untaped_mixer_bit_equal_to_taped(directions, dtype, monkeypatch):
 def test_untaped_mixer_bit_equal_to_taped_for_wide_products(channels, side, dtype):
     # BLAS rounds the last columns of a whole-sequence projection unlike a
     # chunk's at these shapes; an untaped chunk's own steps are one slice
-    chunks = [s.stop - s.start for s in ssm._l_chunks((side * side, 8, channels, 8))]
-    assert len(chunks) > 1 and all(len(ssm._l_chunks((n, 8, channels, 8))) == 1 for n in chunks)
+    chunks = [s.stop - s.start for s in T._l_chunks((side * side, 8, channels, 8))]
+    assert len(chunks) > 1 and all(len(T._l_chunks((n, 8, channels, 8))) == 1 for n in chunks)
     untaped, taped = _untaped_and_taped_macs(*_mixer(channels, side, 8, dtype))
     assert untaped == taped
 
@@ -352,8 +352,8 @@ def test_network_bit_equal_to_reference(monkeypatch):
     net = TwoStageNet(NetworkConfig(base_width=8, depth=2), seed=5)
     x = np.random.default_rng(3).uniform(0.0, 0.2, (4, 12, 12)).astype(np.float32)
     # level 0 (L = 144, 8 directions, C = 8, N = 8) in chunks of 40, 40 and 64 steps
-    monkeypatch.setattr(ssm, "_CHUNK_ELEMS", 40 * 8 * 8 * 8)
-    assert len(ssm._l_chunks((144, 8, 8, 8))) == 3
+    monkeypatch.setattr(T, "_CHUNK_ELEMS", 40 * 8 * 8 * 8)
+    assert len(T._l_chunks((144, 8, 8, 8))) == 3
 
     def run():
         with no_grad():

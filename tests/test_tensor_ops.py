@@ -224,6 +224,64 @@ class TestConv2d:
         leaf_bytes = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes
         assert leaf_bytes <= after - before < leaf_bytes + 64 * 1024
 
+    # (C_out, C_in, k, H, W, stride): most span several bands at the default
+    # budget; then one-band shapes of the sizes the golden file runs
+    BANDED_SHAPES = [
+        (co, ci, k, h, w, stride)
+        for co, k in ((8, 5), (16, 3))
+        for ci in (4, 5, 9, 10, co)
+        for h, w in ((130, 130), (97, 61), (194, 122))
+        for stride in (1, 2)
+    ]
+    ONE_BAND_SHAPES = [
+        (4, 8, 3, 16, 16, 1), (8, 5, 1, 16, 16, 1), (8, 8, 5, 16, 16, 1), (16, 8, 3, 16, 16, 2), (12, 8, 3, 16, 16, 1)
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_banded_forward_bit_equal_to_whole_product(self, rng, dtype, monkeypatch):
+        # Below this budget the bands' products get small enough for
+        # OpenBLAS's small-matrix kernel, which rounds the last columns of a
+        # product unlike the whole product's kernel (seen at 1 << 16).
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", 1 << 18)
+        bands = []
+        for co, ci, k, h, w, stride in self.BANDED_SHAPES + self.ONE_BAND_SHAPES:
+            pad = (k - 1) // 2
+            x = rng.standard_normal((ci, h, w)).astype(dtype)
+            wt = rng.standard_normal((co, ci, k, k)).astype(dtype)
+            b = rng.standard_normal(co).astype(dtype)
+            cols, ho, wo = _reference_im2col(x, k, stride, pad)
+            want = (wt.reshape(co, -1) @ cols + b[:, None]).reshape(co, ho, wo)
+            got = T.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=pad).data
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), (co, ci, k, h, w, stride)
+            bands.append(len(T._row_bands(ho, wo, ci * k * k * wo)))
+        assert sum(n > 1 for n in bands[:len(self.BANDED_SHAPES)]) == 43
+        assert set(bands[len(self.BANDED_SHAPES):]) == {1}
+
+    def test_row_bands_hold_whole_16_column_groups(self):
+        # 61 columns a row: groups of 16 rows; the 1 row short of a group joins the last band
+        bands = T._row_bands(97, 61, 400 * 61)
+        assert [(s.start, s.stop) for s in bands] == [(i, i + 16) for i in range(0, 80, 16)] + [(80, 97)]
+        assert T._row_bands(7, 61, 10) == [slice(0, 7)]  # fewer rows than a group: one band
+        assert T._row_bands(256, 256, 200 * 256)[-1] == slice(250, 256)  # 5-row bands, the remainder joined
+
+    def test_untaped_conv_transient_is_bands_not_the_column_matrix(self, rng):
+        x = Tensor(rng.standard_normal((8, 256, 256)).astype(np.float32))
+        w = Tensor(rng.standard_normal((8, 8, 5, 5)).astype(np.float32))
+        b = Tensor(np.zeros(8, dtype=np.float32))
+        cols_bytes = 8 * 25 * 256 * 256 * 4  # 52 MB, the whole column matrix
+        band_bytes = max(s.stop - s.start for s in T._row_bands(256, 256, 8 * 25 * 256)) * 8 * 25 * 256 * 4
+        padded_bytes = 8 * 260 * 260 * 4
+        with no_grad():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = T.conv2d(x, w, b, padding=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - before <= padded_bytes + out.data.nbytes + 2 * band_bytes < cols_bytes // 7
+
     def test_stride2_output_size(self, rng):
         x = Tensor(rng.standard_normal((2, 8, 8)))
         w = Tensor(rng.standard_normal((4, 2, 3, 3)))
