@@ -265,8 +265,8 @@ def tiled_forward(net: TwoStageNet, packed: Tensor, tile: int):
 
     ``tile`` is in packed-grid pixels: a multiple of the depth alignment,
     larger than ``TILE_OVERLAP``.  Plain overlap averaging; no feathering.
-    The overlaps are summed in float64 and the result comes back in the
-    net's dtype.
+    The overlaps are summed in float64 and divided in place by their cover,
+    and the result comes back in the net's dtype.
     """
     cfg = net.config
     div = 1 << (cfg.depth - 1)
@@ -292,8 +292,10 @@ def tiled_forward(net: TwoStageNet, packed: Tensor, tile: int):
             acc1[:, y0:y1, x0:x1] += t1.data
             acc2[:, y0 * s:y1 * s, x0 * s:x1 * s] += t2.data
             cover[:, y0:y1, x0:x1] += 1.0
-    cover2 = np.repeat(np.repeat(cover, s, axis=1), s, axis=2)
-    return Tensor((acc1 / cover).astype(t1.dtype)), Tensor((acc2 / cover2).astype(t2.dtype))
+    acc1 /= cover
+    by_packed_pixel = acc2.reshape(3, h, s, w, s)
+    by_packed_pixel /= cover[:, :, None, :, None]
+    return Tensor(acc1.astype(t1.dtype)), Tensor(acc2.astype(t2.dtype))
 
 
 # ---------------------------------------------------------------------------

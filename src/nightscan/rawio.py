@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .tensor import _l_chunks
 
 logger = logging.getLogger(__name__)
 
@@ -99,7 +100,11 @@ def to_counts(values, black_level, white_level) -> np.ndarray:
     The levels enter as Python ints, so a float32 ``values`` stays float32
     (NEP 50).  Values below 0 give counts below the black level."""
     black, white = int(black_level), int(white_level)
-    return np.clip(np.round(black + values * (white - black)), 0, white).astype(np.uint16)
+    counts = np.multiply(values, white - black)
+    np.add(counts, black, out=counts)
+    np.round(counts, out=counts)
+    np.clip(counts, 0, white, out=counts)
+    return counts.astype(np.uint16)
 
 
 def _write_container(path, magic, header: dict, payload):
@@ -174,26 +179,38 @@ def read_raw_container(path) -> RawImage:
         raise FormatError(f"invalid RRAW header: {exc}") from exc
 
 
+def _ppm_bytes(rgb):
+    """Interleaved 8-bit samples of a (3, h, w) band: floor(255 * clip(v) + 0.5),
+    formed in one float64 copy of the band, freed on return."""
+    band = rgb.astype(np.float64)
+    np.clip(band, 0.0, 1.0, out=band)
+    np.multiply(band, 255.0, out=band)
+    np.add(band, 0.5, out=band)
+    np.floor(band, out=band)
+    return band.astype(np.uint8).transpose(1, 2, 0).tobytes()
+
+
 def write_ppm(rgb: np.ndarray, path) -> int:
     """Write a (3, H, W) image in [0, 1] as binary 8-bit PPM (P6).
 
     Out-of-range values are clipped, counted, and reported with a warning;
-    they are not an error.  Quantization is round-half-up of 255*v.
-    Returns the number of clipped samples.
+    they are not an error.  Quantization is round-half-up of 255*v, in
+    float64.  The image is quantized and written one ``_l_chunks`` band of
+    rows at a time, so the float64 copy is one band, never the image; the
+    argument is not written to.  Returns the number of clipped samples.
     """
-    rgb = np.asarray(rgb, dtype=np.float64)
+    rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[0] != 3:
         raise ConfigError(f"write_ppm expects (3, H, W), got {rgb.shape}")
-    clipped = int(((rgb < 0.0) | (rgb > 1.0)).sum())
-    if clipped:
-        logger.warning("write_ppm: clipped %d out-of-range samples for %s", clipped, path)
-    vals = np.clip(rgb, 0.0, 1.0)
-    bytes8 = np.floor(255.0 * vals + 0.5).astype(np.uint8)
-    interleaved = bytes8.transpose(1, 2, 0)
-    h, w = interleaved.shape[:2]
+    _, h, w = rgb.shape
+    clipped = 0
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(interleaved.tobytes())
+        for s in _l_chunks((h, 3 * w)):
+            clipped += int(np.count_nonzero(rgb[:, s] < 0.0) + np.count_nonzero(rgb[:, s] > 1.0))
+            fh.write(_ppm_bytes(rgb[:, s]))
+    if clipped:
+        logger.warning("write_ppm: clipped %d out-of-range samples for %s", clipped, path)
     return clipped
 
 

@@ -83,14 +83,17 @@ def _with_series(out, u, series):
     """Overwrite ``out`` by ``series(u)`` where |u| < ZOH_TAYLOR_THRESHOLD.
 
     Both arrays must be C-contiguous (a reshaped copy would take the writes
-    instead); the small entries are found one ``_l_chunks`` slice at a time
-    and the series runs on those entries only.
+    instead); the small entries are found one ``_l_chunks`` slice at a time,
+    as ``-T < u < T`` (the same set as ``|u| < T``, NaN excluded) so no float
+    copy of u is made, and the series runs on those entries only.
     """
     if not (out.flags.c_contiguous and u.flags.c_contiguous):
         raise ContractError("the ZOH series needs C-contiguous arrays")
     flat_u, flat_out = u.reshape(-1), out.reshape(-1)
     for s in _l_chunks(flat_u.shape):
-        idx = np.flatnonzero(np.abs(flat_u[s]) < ZOH_TAYLOR_THRESHOLD) + s.start
+        small = flat_u[s] < ZOH_TAYLOR_THRESHOLD
+        small &= flat_u[s] > -ZOH_TAYLOR_THRESHOLD
+        idx = np.flatnonzero(small) + s.start
         if idx.size:
             flat_out[idx] = series(flat_u[idx])
     return out

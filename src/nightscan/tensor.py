@@ -400,8 +400,8 @@ def pixel_shuffle(a, r):
 # matmul / normalization
 
 # Elements per slice of ``_l_chunks``: per L-chunk of the scan (and per block
-# of its search for small |u|) and per band of conv2d's columns, which bounds
-# their temporaries to a few MB.
+# of its search for small |u|), per band of conv2d's columns and per band of
+# rows that rawio.write_ppm quantizes, which bounds their temporaries to a few MB.
 _CHUNK_ELEMS = 1 << 18
 
 
@@ -414,7 +414,7 @@ def _l_chunks(shape):
     ``DirectionalScan2d`` and the bands of ``conv2d`` are one per slice,
     taped or untaped: these slices fix the forward's bits.
     """
-    step = max(1, _CHUNK_ELEMS // max(1, int(np.prod(shape[1:]))))
+    step = max(1, _CHUNK_ELEMS // max(1, math.prod(shape[1:])))
     starts = list(range(0, shape[0], step))
     if len(starts) > 1 and shape[0] % step:
         starts.pop()

@@ -1,5 +1,7 @@
+import gc
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +284,36 @@ class TestTiledForward:
         with no_grad():
             o1, _ = tiled_forward(net, x, tile=smallest)
         assert o1.shape == x.shape and np.isfinite(o1.data).all()
+
+    def test_stitch_holds_only_its_accumulators_and_outputs(self):
+        # the benchmark's tiled frame: X-Trans packed 96x96, tile 32, 16 tiles
+        cfg = NetworkConfig(cfa="XTRANS")
+        h, tile, s = 96, 32, cfg.pixel_scale
+        outs = (Tensor(np.full((9, tile, tile), 0.25, np.float32)),
+                Tensor(np.full((3, tile * s, tile * s), 0.5, np.float32)))
+
+        class ConstantNet:
+            config = cfg
+
+            def __call__(self, sub):
+                return outs
+
+        x = Tensor(np.zeros((9, h, h), np.float32))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            o1, o2 = tiled_forward(ConstantNet(), x, tile=tile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert np.all(o1.data == 0.25) and np.all(o2.data == 0.5)
+        # float64 acc1, acc2 and cover, then the float32 outputs
+        held = (9 + 3 * s * s + 1) * h * h * 8 + (9 + 3 * s * s) * h * h * 4
+        assert peak - before <= held + 64 * 1024, f"{(peak - before) / held:.2f} times the buffers"
 
 
 def test_shape_caches_stay_bounded():

@@ -1,9 +1,12 @@
+import gc
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nightscan import tensor as T
 from nightscan.errors import ConfigError, FormatError
 from nightscan.rawio import (
     RawImage,
@@ -195,3 +198,51 @@ class TestPpm:
         path = tmp_path / "f.ppm"
         write_ppm(np.zeros((3, 2, 4)), path)
         assert path.read_bytes().startswith(b"P6\n4 2\n255\n")
+
+
+def _float64_ppm(rgb):
+    """The whole-image formula write_ppm bands: (clipped count, file bytes)."""
+    rgb = np.asarray(rgb, dtype=np.float64)
+    clipped = int(((rgb < 0.0) | (rgb > 1.0)).sum())
+    bytes8 = np.floor(255.0 * np.clip(rgb, 0.0, 1.0) + 0.5).astype(np.uint8)
+    return clipped, f"P6\n{rgb.shape[2]} {rgb.shape[1]}\n255\n".encode("ascii") + bytes8.transpose(1, 2, 0).tobytes()
+
+
+class TestPpmBands:
+    @pytest.mark.parametrize("chunk_elems", [None, 7 * 3 * 301], ids=["default", "7-rows"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_and_count_equal_the_whole_image_formula(self, tmp_path, dtype, chunk_elems, monkeypatch):
+        if chunk_elems:
+            monkeypatch.setattr(T, "_CHUNK_ELEMS", chunk_elems)
+            assert len(T._l_chunks((300, 3 * 301))) == 42
+        rng = np.random.default_rng(4)
+        img = rng.uniform(-0.5, 1.5, (3, 300, 301))
+        # the quantization's rounding edges: exact k/255 and k/255 +- 0.5/255
+        k = rng.integers(0, 256, (3, 90, 301))
+        img[:, :30], img[:, 30:60], img[:, 60:90] = k[:, :30] / 255, (k[:, 30:60] + 0.5) / 255, (k[:, 60:] - 0.5) / 255
+        img[:, 90, :4] = [0.0, -0.0, 1.0, -1e-300]
+        img = img.astype(dtype)
+        kept = img.copy()
+        path = tmp_path / "b.ppm"
+        clipped = write_ppm(img, path)
+        assert type(clipped) is int
+        assert (clipped, path.read_bytes()) == _float64_ppm(kept)
+        assert img.tobytes() == kept.tobytes()
+
+    def test_transient_is_one_band(self, tmp_path):
+        img = np.random.default_rng(5).uniform(-0.1, 1.1, (3, 1024, 1024)).astype(np.float32)
+        band = max(s.stop - s.start for s in T._l_chunks((1024, 3 * 1024))) * 3 * 1024
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            write_ppm(img, tmp_path / "t.ppm")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        # the band's float64 copy, its uint8 copy and its interleaved bytes,
+        # plus the header and the file object's write buffer
+        assert peak - before <= 10 * band + 64 * 1024, f"{(peak - before) / (8 * band):.2f} float64 bands"

@@ -251,6 +251,51 @@ def test_untaped_scan_keeps_no_chunk_buffers():
     assert after - before <= 64 * 1024, f"{(after - before) / 1024:.0f} KB still held"
 
 
+def test_untaped_scan_peak_memory():
+    # y, one chunk's (L, N) + G buffers, and the boolean mask of its small |u|
+    args, full = _level0_packed64(requires_grad=False)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        with no_grad():
+            y = ssm.zoh_scan(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    del y
+    assert peak - before <= 0.55 * full, f"peak {(peak - before) / full:.3f} full arrays"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_series_mask_is_abs_below_threshold(dtype):
+    t, tiny = dtype(ssm.ZOH_TAYLOR_THRESHOLD), np.finfo(dtype).smallest_subnormal
+    near = [t, np.nextafter(t, dtype(0)), np.nextafter(t, dtype(1)), tiny, 0.0, np.inf, ssm.ZOH_TAYLOR_THRESHOLD]
+    u = np.array(near + [-v for v in near] + [np.nan], dtype)
+    out = np.zeros_like(u)
+    ssm._with_series(out, u, np.ones_like)
+    np.testing.assert_array_equal(out != 0, np.abs(u) < ssm.ZOH_TAYLOR_THRESHOLD)
+
+
+def test_l_chunks_equal_the_numpy_product_form(monkeypatch):
+    def numpy_form(shape):
+        step = max(1, T._CHUNK_ELEMS // max(1, int(np.prod(shape[1:]))))
+        starts = list(range(0, shape[0], step))
+        if len(starts) > 1 and shape[0] % step:
+            starts.pop()
+        return [slice(i, j) for i, j in zip(starts, starts[1:] + [shape[0]])]
+
+    for elems in (T._CHUNK_ELEMS, 1000, 1):
+        monkeypatch.setattr(T, "_CHUNK_ELEMS", elems)
+        for lead in (0, 1, 7, 63, 512, 4097, 16384):
+            for rest in ((), (0,), (1,), (3,), (8, 8, 8), (8, 0, 8), (3, 1152), (9, 25, 128), (64, 4096)):
+                shape = (lead,) + rest
+                assert T._l_chunks(shape) == numpy_form(shape), (elems, shape)
+
+
 def test_taped_scan_tape_and_backward_memory():
     # The taped pair kept u, the ZOH factor, abar, bbar and the states (5.1
     # full (K, C, L, N) arrays with y) and peaked at 11.9 in backward.
