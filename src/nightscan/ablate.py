@@ -13,7 +13,7 @@ from dataclasses import replace
 from .data import gen_synthetic
 from .errors import ConfigError
 from .model import NetworkConfig
-from .train import LossConfig, TrainConfig, train, write_metrics_csv
+from .train import LossConfig, TrainConfig, metrics_row, train, write_metrics_csv
 
 AXES = ("scan_directions", "rdm_on_off", "fusion", "loss", "enhance_stage")
 
@@ -65,15 +65,7 @@ def run_ablation(axis, seed=7, out_dir=None):
     rows = []
     for name, net_over, loss_over in variants:
         result = run(net_over, loss_over)
-        rows.append(
-            {
-                "variant": name,
-                "psnr": result.metrics["psnr"],
-                "ssim": result.metrics["ssim"],
-                "wall_ms": result.wall_ms,
-                "seed": seed,
-            }
-        )
+        rows.append(metrics_row(name, result.metrics, result.wall_ms, seed))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_metrics_csv(os.path.join(out_dir, f"ablation_{axis}.csv"), rows)

@@ -21,11 +21,11 @@ from .ablate import AXES, run_ablation
 from .data import gen_synthetic, load_dataset, write_dataset
 from .errors import ConfigError, NightscanError, NumericError
 from .gradcheck import EPS, TOL, run_gradcheck
-from .model import NetworkConfig, dataclass_from_dict, load_checkpoint, network_from_checkpoint, tiled_forward
-from .rawio import pack, read_raw_container, to_counts, unpack_mosaic, write_ppm, write_raw_container
+from .model import NetworkConfig, load_checkpoint, network_from_checkpoint, tiled_forward
+from .rawio import dataclass_from_dict, pack, read_raw_container, to_counts, unpack_mosaic, write_ppm, write_raw_container
 from .scan import BASES, ScanDirection, build_order
 from .tensor import Tensor, no_grad
-from .train import LossConfig, TrainConfig, config_echo, evaluate, train, write_metrics_csv
+from .train import LossConfig, TrainConfig, config_echo, evaluate, metrics_row, train, write_metrics_csv
 
 DIRECTION_NAMES = {base.replace("_", "-"): base for base in BASES}
 
@@ -41,11 +41,11 @@ def _resolve_configs(args):
             raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"config file must hold a JSON object, got {type(raw).__name__}")
-    net_cfg = dataclass_from_dict(NetworkConfig, raw.get("network", {}), "network")
-    train_cfg = dataclass_from_dict(TrainConfig, raw.get("train", {}), "train")
+    net_cfg = dataclass_from_dict(NetworkConfig, raw.get("network", {}), "network config")
+    train_cfg = dataclass_from_dict(TrainConfig, raw.get("train", {}), "train config")
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
-    loss_cfg = dataclass_from_dict(LossConfig, raw.get("loss", {}), "loss")
+    loss_cfg = dataclass_from_dict(LossConfig, raw.get("loss", {}), "loss config")
     return net_cfg, train_cfg, loss_cfg
 
 
@@ -83,10 +83,7 @@ def cmd_eval(args):
     print(json.dumps(metrics))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        write_metrics_csv(
-            os.path.join(args.out, "metrics.csv"),
-            [{"variant": "eval", **metrics, "wall_ms": 0.0, "seed": header["seed"]}],
-        )
+        write_metrics_csv(os.path.join(args.out, "metrics.csv"), [metrics_row("eval", metrics, 0.0, header["seed"])])
     return 0
 
 

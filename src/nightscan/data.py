@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,8 @@ from .metrics import SSIM_WINDOW, psnr
 from .rawio import (
     CFA_BLOCK,
     RawImage,
+    _fits,
+    dataclass_from_dict,
     pack,
     pack_mosaic,
     read_ppm,
@@ -73,6 +75,10 @@ class SyntheticSample:
 
 @dataclass
 class SyntheticDataset:
+    """A dataset and its generation parameters.  index.json holds every
+    field but ``samples`` under its name, in this order, after ``cfa`` and
+    ``count``, then the sample file names."""
+
     samples: list
     cfa: str
     size: int
@@ -83,12 +89,6 @@ class SyntheticDataset:
     black_level: int
     white_level: int
     baseline_psnr: float
-
-
-# index.json's generation fields after its cfa and count, in file order,
-# each with the type load_dataset reads it as
-_INDEX_FIELDS = {"size": int, "seed": int, "ratio": float, "sigma_read": float, "shot_scale": float,
-                 "black_level": int, "white_level": int, "baseline_psnr": float}
 
 
 def cfa_pattern(cfa: str) -> np.ndarray:
@@ -211,12 +211,10 @@ def write_dataset(ds: SyntheticDataset, out_dir):
         write_raw_container(sample.raw, os.path.join(out_dir, raw_name))
         write_ppm(sample.clean_rgb, os.path.join(out_dir, gt_name))
         entries.append({"raw": raw_name, "gt": gt_name})
-    index = {
-        "cfa": ds.cfa,
-        "count": len(ds.samples),
-        **{name: getattr(ds, name) for name in _INDEX_FIELDS},
-        "samples": entries,
-    }
+    # "cfa" keeps its place when the fields fill in
+    index = {"cfa": ds.cfa, "count": len(ds.samples)}
+    index.update((f.name, getattr(ds, f.name)) for f in fields(ds) if f.name != "samples")
+    index["samples"] = entries
     with open(os.path.join(out_dir, "index.json"), "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=1)
         fh.write("\n")
@@ -231,30 +229,31 @@ def load_dataset(data_dir) -> SyntheticDataset:
         raise FormatError(f"no dataset index at {index_path}")
     except ValueError as exc:
         raise FormatError(f"malformed dataset index: {exc}") from exc
+    label = f"dataset index {index_path}"
+    if not isinstance(index, dict):
+        raise FormatError(f"{label} must be a JSON object, got {type(index).__name__}")
+    count, entries = index.pop("count", None), index.pop("samples", None)
+    ds = dataclass_from_dict(SyntheticDataset, index, label, FormatError, samples=[])
     try:
-        cfa = index["cfa"]
-        count = int(index["count"])
-        files = [(os.path.join(data_dir, e["raw"]), os.path.join(data_dir, e["gt"])) for e in index["samples"]]
-        meta = {name: kind(index[name]) for name, kind in _INDEX_FIELDS.items()}
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed dataset index {index_path}: {exc!r}") from exc
-    if not isinstance(cfa, str) or cfa not in CFA_BLOCK:
-        raise FormatError(f"dataset index {index_path} names unknown CFA {cfa!r}")
-    if count != len(files):
-        raise FormatError(f"dataset index {index_path} has count {count} but lists {len(files)} samples")
-    size = meta["size"]
-    samples = []
+        files = [(os.path.join(data_dir, e["raw"]), os.path.join(data_dir, e["gt"])) for e in entries]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{label} has a malformed samples list: {exc!r}") from exc
+    if ds.cfa not in CFA_BLOCK:
+        raise FormatError(f"{label} names unknown CFA {ds.cfa!r}")
+    if not (_fits("int", count) and count == len(files)):
+        raise FormatError(f"{label} has count {count!r} but lists {len(files)} samples")
+    size = ds.size
     for raw_path, gt_path in files:
         raw = read_raw_container(raw_path)
         clean_rgb = read_ppm(gt_path)
-        if (raw.width, raw.height, raw.cfa, clean_rgb.shape) != (size, size, cfa, (3, size, size)):
+        if (raw.width, raw.height, raw.cfa, clean_rgb.shape) != (size, size, ds.cfa, (3, size, size)):
             raise FormatError(
                 f"sample {raw_path} is a {raw.width}x{raw.height} {raw.cfa} RAW with a {clean_rgb.shape[2]}x{clean_rgb.shape[1]}"
-                f" ground truth, but the dataset index {index_path} says {size}x{size} {cfa}"
+                f" ground truth, but the {label} says {size}x{size} {ds.cfa}"
             )
-        clean_packed = pack_mosaic(mosaic_from_rgb(clean_rgb, cfa), cfa)
-        samples.append(SyntheticSample(clean_rgb=clean_rgb, clean_packed=clean_packed, raw=raw))
-    return SyntheticDataset(samples=samples, cfa=cfa, **meta)
+        clean_packed = pack_mosaic(mosaic_from_rgb(clean_rgb, ds.cfa), ds.cfa)
+        ds.samples.append(SyntheticSample(clean_rgb=clean_rgb, clean_packed=clean_packed, raw=raw))
+    return ds
 
 
 def flip_arrays(packed_in, clean_packed, clean_rgb, flip_h, flip_v):

@@ -18,7 +18,7 @@ parameters as little-endian float32, concatenated in manifest order.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .blocks import (
     count_params,
 )
 from .errors import ConfigError, DimensionError, FormatError
-from .rawio import CFA_BLOCK, _read_container, _write_container, packed_channels
+from .rawio import CFA_BLOCK, _fits, _read_container, _write_container, dataclass_from_dict, packed_channels
 from .scan import DIRECTION_SUBSETS
 from .tensor import Tensor, no_grad, track_macs
 
@@ -88,37 +88,6 @@ class NetworkConfig:
     @property
     def widths(self):
         return [self.base_width * (1 << i) for i in range(self.depth)]
-
-
-# what a JSON value may be for each config field annotation
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
-
-
-def _fits(annotation, value):
-    kind = annotation.removesuffix(" | None")
-    if value is None:
-        return kind != annotation
-    if isinstance(value, bool):
-        return kind == "bool"
-    return isinstance(value, _JSON_TYPES[kind])
-
-
-def dataclass_from_dict(cls, data, label: str):
-    """Build the config dataclass ``cls`` from a parsed JSON object.
-
-    Raises ConfigError for a non-object, an unknown key, or a value whose
-    JSON type does not fit its field, as well as for what ``cls`` rejects.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(f"{label} config must be a JSON object, got {type(data).__name__}")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(data) - set(types)
-    if unknown:
-        raise ConfigError(f"unknown {label} config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        if not _fits(types[key], value):
-            raise ConfigError(f"{label} config key {key!r} must be {types[key]}, got {value!r}")
-    return cls(**data)
 
 
 class TwoStageNet(Module):
@@ -314,23 +283,23 @@ def save_checkpoint(path, net: TwoStageNet, config_echo: dict, seed: int):
     _write_container(path, CKPT_MAGIC, {"tensors": entries, "config": config_echo, "seed": int(seed)}, chunks)
 
 
-def _is_count(v):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
 def _check_manifest(header):
     """Raise FormatError unless ``header`` has the fields save_checkpoint writes."""
+
+    def counts(*values):
+        return all(_fits("int", v) and v >= 0 for v in values)
+
     if not isinstance(header.get("tensors"), list):
         raise FormatError("checkpoint manifest has no 'tensors' list")
-    if not isinstance(header.get("config"), dict) or not _is_count(header.get("seed")):
+    if not isinstance(header.get("config"), dict) or not counts(header.get("seed")):
         raise FormatError("checkpoint header needs a 'config' object and a non-negative 'seed'")
     for entry in header["tensors"]:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise FormatError(f"checkpoint manifest entry without a name: {entry!r}")
         shape = entry.get("shape")
-        if not (isinstance(shape, list) and all(_is_count(s) for s in shape)):
+        if not (isinstance(shape, list) and counts(*shape)):
             raise FormatError(f"checkpoint tensor {entry['name']!r} has no valid shape")
-        if not (_is_count(entry.get("offset")) and _is_count(entry.get("length"))):
+        if not counts(entry.get("offset"), entry.get("length")):
             raise FormatError(f"checkpoint tensor {entry['name']!r} needs non-negative offset and length")
         if math.prod(shape) != entry["length"]:
             raise FormatError(f"checkpoint tensor {entry['name']!r}: shape {shape} does not hold {entry['length']} values")
@@ -360,12 +329,7 @@ def load_checkpoint(path):
 
 def network_from_checkpoint(path):
     header, tensors = load_checkpoint(path)
-    try:
-        net_cfg = dataclass_from_dict(NetworkConfig, header["config"]["network"], "network")
-    except KeyError as exc:
-        raise FormatError("checkpoint config echo is missing the network section") from exc
-    except ConfigError as exc:
-        raise FormatError(f"checkpoint config echo is not a valid network config: {exc}") from exc
+    net_cfg = dataclass_from_dict(NetworkConfig, header["config"].get("network"), "checkpoint network config", FormatError)
     net = TwoStageNet(net_cfg, seed=int(header["seed"]))
     names = [name for name, _ in net.named_params()]
     if set(names) != set(tensors):

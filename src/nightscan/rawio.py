@@ -9,8 +9,16 @@ little endian throughout:
     payload      the rest of the file
 
 An RRAW header is {width, height, cfa: "RGGB"|"XTRANS", black_level,
-white_level, exposure_ratio}; its payload is height*width u16 values, row
-major.
+white_level, exposure_ratio}, the fields of ``RawImage`` but its plane; its
+payload is height*width u16 values, row major.
+
+Every JSON record the package reads (RRAW headers, dataset indexes, config
+sections and checkpoint config echoes) is read by ``dataclass_from_dict``
+into its dataclass.  A value must have its field's JSON type: an int field
+takes a JSON integer, a float field an integer or a number, a str field a
+string and a bool field true or false, and a bool is never a number.  A
+wrong type, an unknown key or a missing field without a default is an
+error (FormatError for files), never coerced.
 
 Packing turns the single-plane mosaic into one channel per CFA site at
 reduced resolution: 2x2 blocks -> 4 channels for Bayer RGGB, 3x3 blocks ->
@@ -24,8 +32,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -49,15 +58,59 @@ class RawImage:
     plane: np.ndarray  # u16, (height, width)
 
     def __post_init__(self):
+        # Python numbers, whatever the caller passed, so a header holds each field's JSON type
+        self.width, self.height, self.black_level, self.white_level = map(
+            operator.index, (self.width, self.height, self.black_level, self.white_level))
+        self.exposure_ratio = float(self.exposure_ratio)
         if not isinstance(self.cfa, str) or self.cfa not in CFA_BLOCK:
             raise ConfigError(f"unknown CFA {self.cfa!r}; expected RGGB or XTRANS")
-        if self.black_level >= self.white_level:
-            raise ConfigError(f"black_level {self.black_level} must be below white_level {self.white_level}")
+        if not 0 <= self.black_level < self.white_level <= 0xFFFF:
+            raise ConfigError(f"need 0 <= black_level {self.black_level} < white_level {self.white_level} <= 65535")
         if not (math.isfinite(self.exposure_ratio) and self.exposure_ratio > 0):
             raise ConfigError(f"exposure_ratio must be positive and finite, got {self.exposure_ratio}")
         self.plane = np.asarray(self.plane, dtype=np.uint16)
         if self.plane.shape != (self.height, self.width):
             raise ConfigError(f"plane shape {self.plane.shape} != ({self.height}, {self.width})")
+
+
+# what a JSON value may be for each field annotation
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
+def _fits(annotation, value):
+    kind = annotation.removesuffix(" | None")
+    if value is None:
+        return kind != annotation
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, _JSON_TYPES[kind])
+
+
+def dataclass_from_dict(cls, data, label: str, error=ConfigError, **given):
+    """Build dataclass ``cls`` from the parsed JSON object ``data``; ``given``
+    supplies the fields that are not JSON.
+
+    Raises ``error`` for a non-object, an unknown key, a missing field that
+    has no default, a value whose JSON type does not fit its field, and for
+    what ``cls`` rejects or cannot hold.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{label} must be a JSON object, got {type(data).__name__}")
+    own = [f for f in fields(cls) if f.name not in given]
+    types = {f.name: f.type for f in own}
+    unknown = set(data) - set(types)
+    if unknown:
+        raise error(f"unknown {label} keys: {sorted(unknown)}")
+    missing = [f.name for f in own if f.name not in data and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise error(f"{label} is missing {missing}")
+    for key, value in data.items():
+        if not _fits(types[key], value):
+            raise error(f"{label} key {key!r} must be {types[key]}, got {value!r}")
+    try:
+        return cls(**data, **given)
+    except (ConfigError, OverflowError) as exc:
+        raise error(f"invalid {label}: {exc}") from exc
 
 
 def packed_channels(cfa: str) -> int:
@@ -146,37 +199,21 @@ def _read_container(path, magic) -> tuple[dict, bytes]:
 
 
 def write_raw_container(raw: RawImage, path):
-    header = {
-        "width": raw.width,
-        "height": raw.height,
-        "cfa": raw.cfa,
-        "black_level": int(raw.black_level),
-        "white_level": int(raw.white_level),
-        "exposure_ratio": float(raw.exposure_ratio),
-    }
+    header = {f.name: getattr(raw, f.name) for f in fields(RawImage) if f.name != "plane"}
     _write_container(path, RAW_MAGIC, header, [raw.plane.astype("<u2").tobytes()])
 
 
 def read_raw_container(path) -> RawImage:
     header, plane_bytes = _read_container(path, RAW_MAGIC)
-    try:
-        width, height = int(header["width"]), int(header["height"])
-        black, white = int(header["black_level"]), int(header["white_level"])
-        ratio = float(header["exposure_ratio"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed header: {exc!r}") from exc
-    if width <= 0 or height <= 0:
-        raise FormatError(f"header dimensions must be positive, got {width}x{height}")
+    width, height = header.get("width"), header.get("height")
+    if not all(_fits("int", v) and v > 0 for v in (width, height)):
+        raise FormatError(f"RRAW header width and height must be positive integers, got {width!r}x{height!r}")
     if len(plane_bytes) != 2 * width * height:
         raise FormatError(
             f"plane size {len(plane_bytes)} bytes disagrees with header {width}x{height} (u16)"
         )
     plane = np.frombuffer(plane_bytes, dtype="<u2").reshape(height, width)
-    try:
-        return RawImage(width=width, height=height, cfa=header.get("cfa"), black_level=black,
-                        white_level=white, exposure_ratio=ratio, plane=plane.copy())
-    except ConfigError as exc:
-        raise FormatError(f"invalid RRAW header: {exc}") from exc
+    return dataclass_from_dict(RawImage, header, "RRAW header", FormatError, plane=plane.copy())
 
 
 def _ppm_bytes(rgb):

@@ -14,7 +14,7 @@ from . import tensor as T
 from .data import SyntheticDataset, flip_arrays
 from .errors import ConfigError, DimensionError, NumericError
 from .metrics import SSIM_WINDOW, psnr, ssim
-from .model import NetworkConfig, TwoStageNet, network_from_checkpoint, save_checkpoint
+from .model import NetworkConfig, TwoStageNet, network_config_echo, network_from_checkpoint, save_checkpoint
 from .rawio import pack
 from .tensor import Tensor, backward, no_grad
 
@@ -187,7 +187,7 @@ def evaluate(net: TwoStageNet, dataset: SyntheticDataset):
 
 def config_echo(net_cfg, train_cfg, loss_cfg):
     """The resolved configuration as a checkpoint echoes it and ``nightscan train`` announces it."""
-    return {"network": asdict(net_cfg), "train": asdict(train_cfg), "loss": asdict(loss_cfg)}
+    return {**network_config_echo(net_cfg), "train": asdict(train_cfg), "loss": asdict(loss_cfg)}
 
 
 @dataclass
@@ -266,10 +266,7 @@ def train(
         net, _ = network_from_checkpoint(ckpt_path)
         metrics = evaluate(net, dataset)
         _write_csv(os.path.join(out_dir, "train_log.csv"), list(log[0]), log)
-        write_metrics_csv(
-            os.path.join(out_dir, "metrics.csv"),
-            [{"variant": "train", **metrics, "wall_ms": wall_ms, "seed": train_cfg.seed}],
-        )
+        write_metrics_csv(os.path.join(out_dir, "metrics.csv"), [metrics_row("train", metrics, wall_ms, train_cfg.seed)])
     else:
         metrics = evaluate(net, dataset)
 
@@ -291,5 +288,13 @@ def _write_csv(path, columns, rows):
             fh.write(",".join(str(row[c]) for c in columns) + "\n")
 
 
+METRICS_COLUMNS = ("variant", "psnr", "ssim", "wall_ms", "seed")
+
+
+def metrics_row(variant, metrics, wall_ms, seed):
+    """One row of a metrics CSV: the RGB metrics of ``evaluate``, so no raw_psnr."""
+    return dict(zip(METRICS_COLUMNS, (variant, metrics["psnr"], metrics["ssim"], wall_ms, seed)))
+
+
 def write_metrics_csv(path, rows):
-    _write_csv(path, ("variant", "psnr", "ssim", "wall_ms", "seed"), rows)
+    _write_csv(path, METRICS_COLUMNS, rows)

@@ -234,6 +234,22 @@ def _one_json_error(err):
     return json.loads(lines[0])["error"]
 
 
+def test_infer_on_float_width_rraw_is_one_json_error(pipeline_dirs, capsys, tmp_path):
+    data_dir, run_dir = pipeline_dirs
+    blob = (data_dir / "sample_0000.rraw").read_bytes()
+    n = struct.unpack("<I", blob[4:8])[0]
+    header = json.loads(blob[8:8 + n])
+    head = json.dumps({**header, "width": float(header["width"])}).encode()
+    bad = tmp_path / "bad.rraw"
+    bad.write_bytes(blob[:4] + struct.pack("<I", len(head)) + head + blob[8 + n:])
+    capsys.readouterr()
+    code, _, err = run(
+        capsys, "infer", "--ckpt", str(run_dir / "model.ckpt"), "--input", str(bad), "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert _one_json_error(err) == "FormatError"
+
+
 @pytest.mark.parametrize("index", ["{}", "[]"], ids=["empty-object", "list"])
 def test_train_on_malformed_dataset_index_is_one_json_error(capsys, tmp_path, index):
     (tmp_path / "index.json").write_text(index)

@@ -175,8 +175,10 @@ class TestCheckpoint:
         np.testing.assert_array_equal(o2a.data, o2b.data)
 
     @pytest.mark.parametrize(
-        "echo", [{"network": []}, {"network": {"state_dim": 0}}, {"network": {"width": 8}}],
-        ids=["list", "zero-state", "unknown-key"],
+        "echo",
+        [{"network": []}, {"network": {"state_dim": 0}}, {"network": {"width": 8}}, {}, {"network": {"depth": 2.0}},
+         {"network": {"use_retinex": 1}}],
+        ids=["list", "zero-state", "unknown-key", "no-network", "float-depth", "int-bool"],
     )
     def test_malformed_network_echo_is_format_error(self, tmp_path, echo):
         path = tmp_path / "m.ckpt"

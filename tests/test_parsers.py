@@ -8,15 +8,17 @@ that used to escape as TypeError, ValueError, ConfigError or silent success.
 
 import json
 import struct
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nightscan.data import gen_synthetic, load_dataset, write_dataset
+from nightscan.data import SyntheticDataset, gen_synthetic, load_dataset, write_dataset
 from nightscan.errors import FormatError
-from nightscan.model import load_checkpoint
-from nightscan.rawio import read_ppm, read_raw_container
+from nightscan.model import NetworkConfig, load_checkpoint
+from nightscan.rawio import _JSON_TYPES, RawImage, read_ppm, read_raw_container
+from nightscan.train import LossConfig, TrainConfig
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None, database=None)
 
@@ -83,6 +85,11 @@ def test_framed_json_of_any_shape_parses_or_raises_format_error(scratch, magic, 
     _parses_or_format_error(parse, scratch, _frame(magic, raw, payload, declared))
 
 
+# the JSON type each RRAW header field must have (a bool is never a number)
+RAW_KINDS = {"width": int, "height": int, "cfa": str, "black_level": int, "white_level": int,
+             "exposure_ratio": (int, float)}
+
+
 @FUZZ
 @given(fields=st.dictionaries(st.sampled_from(RAW_KEYS), json_values), fill=st.booleans())
 def test_rraw_header_fields_of_any_type_parse_or_raise_format_error(scratch, fields, fill):
@@ -91,7 +98,15 @@ def test_rraw_header_fields_of_any_type_parse_or_raise_format_error(scratch, fie
     w, h = header.get("width"), header.get("height")
     sized = all(isinstance(v, int) and not isinstance(v, bool) and 0 < v < 64 for v in (w, h))
     plane = b"\x01\x00" * (w * h) if sized else b"\x00" * 8
-    _parses_or_format_error(read_raw_container, scratch, _frame(b"RRAW", json.dumps(header).encode(), plane))
+    scratch.write_bytes(_frame(b"RRAW", json.dumps(header).encode(), plane))
+    try:
+        raw = read_raw_container(scratch)
+    except FormatError:
+        return
+    assert set(header) == set(RAW_KINDS)
+    for key, kind in RAW_KINDS.items():
+        assert isinstance(header[key], kind) and not isinstance(header[key], bool), key
+        assert getattr(raw, key) == header[key]
 
 
 @FUZZ
@@ -144,9 +159,24 @@ def _rraw_header(**over):
         _rraw_header(exposure_ratio=1e400),
         _rraw_header(exposure_ratio="nan"),
         _rraw_header().replace(b'"exposure_ratio": 1.0', b'"exposure_ratio": NaN'),
+        _rraw_header(width=2.9),
+        _rraw_header(width="2"),
+        _rraw_header(width=True, height=4),
+        _rraw_header(black_level="0"),
+        _rraw_header(white_level=10.7),
+        _rraw_header(exposure_ratio="1.5"),
+        _rraw_header(exposure_ratio=10**400),
+        _rraw_header(black_level=10**400, white_level=10**401),
+        _rraw_header(black_level=-1),
+        _rraw_header(white_level=65536),
+        _rraw_header(gain=2),
+        _rraw_header(plane=[0, 0, 0, 0]),
+        json.dumps({"width": 2, "height": 2, "cfa": "RGGB", "black_level": 0, "exposure_ratio": 1.0}).encode(),
     ],
     ids=["list", "number", "null-width", "unknown-cfa", "list-cfa", "black-equals-white",
-         "infinite-ratio", "string-nan-ratio", "nan-ratio"],
+         "infinite-ratio", "string-nan-ratio", "nan-ratio", "float-width", "string-width", "bool-width",
+         "string-black", "float-white", "string-ratio", "huge-int-ratio", "huge-levels", "negative-black",
+         "white-past-u16", "unknown-key", "plane-key", "missing-white"],
 )
 def test_malformed_rraw_header_is_format_error(tmp_path, header):
     path = tmp_path / "bad.rraw"
@@ -195,8 +225,20 @@ def test_malformed_ppm_header_is_format_error(tmp_path, blob):
         lambda index: {**index, "cfa": "BGGR"},
         lambda index: {**index, "size": None},
         lambda index: {**index, "count": 2},
+        lambda index: {**index, "size": 12.7},
+        lambda index: {**index, "size": "12"},
+        lambda index: {**index, "count": "1"},
+        lambda index: {**index, "count": 1.5},
+        lambda index: {**index, "count": True},
+        lambda index: {**index, "seed": True},
+        lambda index: {**index, "ratio": "100"},
+        lambda index: {**index, "baseline_psnr": "3"},
+        lambda index: {**index, "gain": 2},
+        lambda index: {key: value for key, value in index.items() if key != "seed"},
     ],
-    ids=["empty-object", "list", "samples-number", "entry-paths-numbers", "unknown-cfa", "null-size", "count-disagrees"],
+    ids=["empty-object", "list", "samples-number", "entry-paths-numbers", "unknown-cfa", "null-size", "count-disagrees",
+         "float-size", "string-size", "string-count", "float-count", "bool-count", "bool-seed", "string-ratio",
+         "string-baseline", "unknown-key", "missing-seed"],
 )
 def test_malformed_dataset_index_is_format_error(tmp_path, edit):
     write_dataset(gen_synthetic(count=1, size=12, seed=0), tmp_path)
@@ -204,3 +246,18 @@ def test_malformed_dataset_index_is_format_error(tmp_path, edit):
     index_path.write_text(json.dumps(edit(json.loads(index_path.read_text()))))
     with pytest.raises(FormatError):
         load_dataset(tmp_path)
+
+
+# --- the one JSON record reader -------------------------------------------
+
+# every dataclass read from JSON, with the fields its reader passes as ``given``
+JSON_RECORDS = {RawImage: {"plane"}, SyntheticDataset: {"samples"}, NetworkConfig: set(), TrainConfig: set(),
+                LossConfig: set()}
+
+
+@pytest.mark.parametrize("cls", list(JSON_RECORDS), ids=lambda cls: cls.__name__)
+def test_every_json_record_field_has_a_json_type(cls):
+    names = {f.name for f in fields(cls)}
+    assert JSON_RECORDS[cls] <= names
+    for f in fields(cls):
+        assert f.name in JSON_RECORDS[cls] or f.type.removesuffix(" | None") in _JSON_TYPES, f.name

@@ -119,6 +119,19 @@ class TestContainer:
         assert back.exposure_ratio == raw.exposure_ratio
         np.testing.assert_array_equal(back.plane, raw.plane)
 
+    def test_roundtrip_keeps_fields_and_header_bytes_of_numpy_levels(self, tmp_path):
+        raw = _raw(np.arange(24, dtype=np.uint16).reshape(4, 6), black=np.int64(2), white=np.int64(100), ratio=100)
+        p1, p2 = tmp_path / "a.rraw", tmp_path / "b.rraw"
+        write_raw_container(raw, p1)
+        back = read_raw_container(p1)
+        write_raw_container(back, p2)
+        for name in ("width", "height", "cfa", "black_level", "white_level", "exposure_ratio"):
+            assert getattr(back, name) == getattr(raw, name)
+            assert type(getattr(back, name)) is type(getattr(raw, name))
+        assert type(raw.black_level) is int and type(raw.exposure_ratio) is float
+        assert p1.read_bytes() == p2.read_bytes()
+        assert b'"black_level": 2, "white_level": 100, "exposure_ratio": 100.0}' in p1.read_bytes()
+
     def test_roundtrip_is_byte_lossless(self, tmp_path):
         raw = _raw(np.arange(24, dtype=np.uint16).reshape(4, 6), white=100)
         p1, p2 = tmp_path / "a.rraw", tmp_path / "b.rraw"

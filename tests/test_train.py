@@ -302,8 +302,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "data",
-        [[], 3, {"steps": "10"}, {"augment": 1}, {"lr_init": True}, {"betas": [0.9]}, {"betas": ["a", "b"]}],
-        ids=["list", "number", "string-steps", "int-bool", "bool-float", "one-beta", "string-betas"],
+        [[], 3, {"steps": "10"}, {"augment": 1}, {"lr_init": True}, {"betas": [0.9]}, {"betas": ["a", "b"]},
+         {"lr_init": 10**400}],
+        ids=["list", "number", "string-steps", "int-bool", "bool-float", "one-beta", "string-betas", "huge-int-lr"],
     )
     def test_malformed_values_rejected(self, data):
         with pytest.raises(ConfigError):
