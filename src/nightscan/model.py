@@ -12,7 +12,8 @@ stage-2 encoder at every level.
 Checkpoints use the container framing of ``rawio`` with magic "CKPT".  The
 header is {"tensors": [{name, shape, offset, length}...], "config": {...},
 "seed": int}, offset/length in float32 elements; the payload is all
-parameters as little-endian float32, concatenated in manifest order.
+parameters as little-endian float32, concatenated in manifest order, so
+each name is listed once and each offset is where the tensor before ends.
 """
 
 from __future__ import annotations
@@ -284,7 +285,9 @@ def save_checkpoint(path, net: TwoStageNet, config_echo: dict, seed: int):
 
 
 def _check_manifest(header):
-    """Raise FormatError unless ``header`` has the fields save_checkpoint writes."""
+    """Raise FormatError unless ``header`` has the fields save_checkpoint
+    writes: each tensor named once, at the offset where the one before it
+    ends.  Returns the floats the manifest declares."""
 
     def counts(*values):
         return all(_fits("int", v) and v >= 0 for v in values)
@@ -293,6 +296,7 @@ def _check_manifest(header):
         raise FormatError("checkpoint manifest has no 'tensors' list")
     if not isinstance(header.get("config"), dict) or not counts(header.get("seed")):
         raise FormatError("checkpoint header needs a 'config' object and a non-negative 'seed'")
+    seen, offset = set(), 0
     for entry in header["tensors"]:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise FormatError(f"checkpoint manifest entry without a name: {entry!r}")
@@ -303,34 +307,60 @@ def _check_manifest(header):
             raise FormatError(f"checkpoint tensor {entry['name']!r} needs non-negative offset and length")
         if math.prod(shape) != entry["length"]:
             raise FormatError(f"checkpoint tensor {entry['name']!r}: shape {shape} does not hold {entry['length']} values")
+        if entry["name"] in seen:
+            raise FormatError(f"checkpoint manifest names tensor {entry['name']!r} twice")
+        if entry["offset"] != offset:
+            raise FormatError(f"checkpoint tensor {entry['name']!r} starts at {entry['offset']}, not at {offset}")
+        seen.add(entry["name"])
+        offset += entry["length"]
+    return offset
 
 
 def load_checkpoint(path):
     """Parse a checkpoint file; returns (header dict, {name: float32 ndarray})."""
     header, payload = _read_container(path, CKPT_MAGIC)
-    _check_manifest(header)
+    expected = _check_manifest(header)
     if len(payload) % 4:
         raise FormatError(f"checkpoint blob of {len(payload)} bytes is not whole float32 values")
     values = np.frombuffer(payload, dtype="<f4")
+    if values.size != expected:
+        raise FormatError(f"checkpoint blob has {values.size} floats, manifest declares {expected}")
     tensors = {}
     for entry in header["tensors"]:
         lo, n = entry["offset"], entry["length"]
-        if lo + n > values.size:
-            raise FormatError(f"checkpoint blob too short for tensor {entry['name']}")
         try:
             tensors[entry["name"]] = values[lo:lo + n].reshape(entry["shape"]).copy()
         except ValueError as exc:
             raise FormatError(f"checkpoint tensor {entry['name']!r}: {exc}") from exc
-    expected = sum(e["length"] for e in header["tensors"])
-    if values.size != expected:
-        raise FormatError(f"checkpoint blob has {values.size} floats, manifest declares {expected}")
     return header, tensors
 
 
+class _NoDraws(np.random.Generator):
+    """A generator whose ``uniform`` draws nothing: it gives a zero-stride
+    view of the asked shape.  A ``TwoStageNet`` given it as its seed
+    (``np.random.default_rng`` passes a Generator through) has the seeded
+    build's parameter names and shapes, from the same constructors in the
+    same order; built in float64, no weight matrix is allocated, because
+    ``blocks._param`` keeps a float64 view as it is."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.broadcast_to(np.float64(low), size)
+
+
 def network_from_checkpoint(path):
+    """The network a checkpoint holds, and the checkpoint's header.
+
+    The manifest is checked against a build of the echoed network that draws
+    nothing (``_NoDraws``), so an echo that does not fit the manifest is a
+    FormatError before any weight is allocated; the parameters are then the
+    checkpoint's arrays.
+    """
     header, tensors = load_checkpoint(path)
     net_cfg = dataclass_from_dict(NetworkConfig, header["config"].get("network"), "checkpoint network config", FormatError)
-    net = TwoStageNet(net_cfg, seed=int(header["seed"]))
+    net = TwoStageNet(net_cfg, seed=_NoDraws(), dtype=np.float64)
     names = [name for name, _ in net.named_params()]
     if set(names) != set(tensors):
         missing = sorted(set(names) - set(tensors))
@@ -340,7 +370,7 @@ def network_from_checkpoint(path):
         arr = tensors[name]
         if tuple(arr.shape) != p.data.shape:
             raise FormatError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-        p.data = arr.astype(np.float32)
+        p.data = arr.astype(np.float32, copy=False)
     return net, header
 
 

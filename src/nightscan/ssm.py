@@ -59,12 +59,12 @@ and states in two C-contiguous chunk buffers (abar = exp(u) in u's buffer,
 then h c there; bbar in the ZOH factor's, then the states), writes its
 part of y, and hands only its last state to the next chunk.  The chunk's
 buffers are freed when it returns, not left in a reference cycle for the
-garbage collector.  Untaped, it never forms a full-size ``(L, N) + G``
-array.  Taped, the chunks write their states into one full ``(L, N) + G``
-array, the only one the tape keeps (the reference keeps u, the ZOH factor,
-abar, bbar and the states).  The backward is one whole-sequence chunk: it
-re-forms the ZOH terms from the inputs and holds at most six full-size
-arrays at once, the states included.
+garbage collector.  Taped or not, the forward is this one chunked path and
+never forms a full-size ``(L, N) + G`` array; the tape keeps only the op's
+inputs (the reference keeps u, the ZOH factor, abar, bbar and the states).
+The backward is one whole-sequence chunk: it re-forms the ZOH terms and the
+states from the inputs, the states by the forward's own steps (Mamba's
+recompute), and holds at most six full-size arrays at once.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, _accumulate, _check_finite, _l_chunks, _needs_grad, _record, _unbroadcast
+from .tensor import Tensor, _accumulate, _check_finite, _l_chunks, _record, _unbroadcast
 
 # Below this |delta * a| the (exp(u) - 1) / u factor switches to its Taylor
 # series to avoid the removable singularity at u = 0.
@@ -333,23 +333,22 @@ def _into(buf, ufunc, x, y):
     return ufunc(x, y, out=_reuse(buf, np.result_type(x, y)))
 
 
-def _fused_chunk(a_c, b_c, d_c, x_c, c_c, skip, h0, y_c, h=None):
+def _fused_chunk(a_c, b_c, d_c, x_c, c_c, skip, h0, y_c):
     """One L-chunk of ``zoh_scan``'s forward: writes its outputs into
     ``y_c`` and returns its last state.
 
     The operands are ``(L, N) + G`` chunks from ``_chunk`` and every buffer
     is C-contiguous in that layout.  abar is formed in u's buffer and then
-    holds h c; bbar is formed in the ZOH factor's buffer and then holds h,
-    unless the states go to ``h`` (a taped scan keeps them there).
+    holds h c; bbar is formed in the ZOH factor's buffer and then holds h.
+    Adding abar[0] h0 into the first state is the recurrence's own step, so
+    a scan's states have the same bits however it is chunked.
     """
     u, phi = _zoh_factor(a_c, b_c, d_c)
     bbar = _bbar(phi, d_c, b_c, phi)
     abar = np.exp(u, out=u)
     _check_finite(abar, "discretize.abar")
     _check_finite(bbar, "discretize.bbar")
-    if h is None:
-        h = _reuse(bbar, np.result_type(x_c, abar, bbar))
-    np.multiply(bbar, x_c, out=h)
+    h = _into(bbar, np.multiply, bbar, x_c)  # bbar's dtype includes abar's
     if h0 is not None:
         h[0] += abar[0] * h0
     _linear_recurrence(abar, h)
@@ -389,12 +388,13 @@ def _sum_to(p, shape, order):
     return np.ascontiguousarray(total.transpose(order))
 
 
-def _fused_backward(g, x, a, b, c_seq, delta, d_skip, h):
+def _fused_backward(g, x, a, b, c_seq, delta, d_skip):
     """Accumulates the gradients of a taped ``zoh_scan`` whose output
-    gradient is ``g``, from its inputs and its states ``h``.
+    gradient is ``g``, from its inputs alone.
 
     The whole sequence is one ``(L, N) + G`` chunk.  It re-forms the ZOH
-    terms and runs the reversed recurrence for the adjoint state dh, then
+    terms and, with the forward's ufuncs in the forward's order, the states
+    h; it runs the reversed recurrence for the adjoint state dh, then
     computes each gradient with the per-element arithmetic and the sums
     (``_sum_to``) of ``selective_scan``'s and ``discretize``'s backwards,
     so every gradient keeps their bits.  It accumulates in their tape
@@ -405,7 +405,7 @@ def _fused_backward(g, x, a, b, c_seq, delta, d_skip, h):
     the product written into it, in page faults).
     """
     ad, bd, dd, xd, cd = a.data, b.data, delta.data, x.data, c_seq.data
-    nd = h.ndim
+    nd = xd.ndim + 1
     a_c, b_c, d_c, x_c, c_c, g_c = (_chunk(v, nd) for v in (ad, bd, dd, xd[..., None], cd, g[..., None]))
     pair = tuple(range(2, nd)) + (0, 1)  # G + (L, N), the layout of discretize's products
     u, phi = _zoh_factor(a_c, b_c, d_c)
@@ -413,6 +413,8 @@ def _fused_backward(g, x, a, b, c_seq, delta, d_skip, h):
     dphi = _phi_prime(u, abar)
     bbar = _bbar(phi, d_c, b_c, u)
     del u
+    h = bbar * x_c
+    _linear_recurrence(abar, h)
 
     # selective_scan's backward: dh, then the gradients of x, c_seq and d_skip
     dh = np.empty_like(h)
@@ -459,10 +461,10 @@ def _fused_backward(g, x, a, b, c_seq, delta, d_skip, h):
     _accumulate(delta, gd_abar)
 
 
-def _run_chunks(operands, shape, skip, y, h=None):
+def _run_chunks(operands, shape, skip, y):
     """``zoh_scan``'s forward over a scan of broadcast shape ``shape`` =
-    G + (L, N), one L-chunk at a time: writes y (G + (L,)) and, given ``h``,
-    the states into it, and returns the scan's multiply-accumulates.
+    G + (L, N), one L-chunk at a time: writes y (G + (L,)) and returns the
+    scan's multiply-accumulates.
 
     ``operands(s)`` gives steps ``s`` of x, a, b, c_seq and delta, shaped as
     ``zoh_scan`` takes them (L axes of size 1 allowed); each chunk copies
@@ -474,7 +476,7 @@ def _run_chunks(operands, shape, skip, y, h=None):
     for s in _l_chunks(y_l.shape + shape[-1:]):
         x, a, b, c_seq, delta = operands(s)
         parts = (_chunk(v, nd) for v in (a, b, delta, x[..., None], c_seq))
-        h0 = _fused_chunk(*parts, skip, h0, y_l[s], None if h is None else h[s])
+        h0 = _fused_chunk(*parts, skip, h0, y_l[s])
     return y.size * (3 * shape[-1] + 1)
 
 
@@ -484,10 +486,11 @@ def zoh_scan(x, a, b, c_seq, delta, d_skip):
     Discretization is fused into the scan: each L-chunk of about
     ``tensor._CHUNK_ELEMS`` elements forms its own abar, bbar and states in
     the ``(L, N) + G`` layout, and only the last state carries into the next
-    chunk.  When the result is taped the states are kept, in one
-    ``(L, N) + G`` array, and ``_fused_backward`` re-forms the rest.  The
-    output and every gradient have the reference's bits, and for one faulty
-    input the same error under the same op name.
+    chunk.  The forward is the same whether the result is taped or not: the
+    tape keeps only the inputs, from which ``_fused_backward`` re-forms the
+    ZOH terms and the states.  The output and every gradient have the
+    reference's bits, and for one faulty input the same error under the
+    same op name.
     """
     parents = (x, a, b, c_seq, delta, d_skip)
     ad, bd, dd, xd, cd = a.data, b.data, delta.data, x.data, c_seq.data
@@ -495,11 +498,8 @@ def zoh_scan(x, a, b, c_seq, delta, d_skip):
     want = _scan_shape(xd.shape, shape, shape, cd.shape)
     skip = np.broadcast_to(np.asarray(d_skip.data), want[:-2])
     y = np.empty_like(xd)
-    taped = _needs_grad(parents)
-    h = np.empty(want[-2:] + want[:-2], np.result_type(xd, ad, bd, dd)) if taped else None
-    macs = _run_chunks(lambda s: (xd[..., s],) + tuple(_steps(v, s) for v in (ad, bd, cd, dd)), want, skip, y, h)
-    bwd = (lambda g: _fused_backward(g, *parents, h)) if taped else None
-    return _record(y, parents, bwd, "selective_scan", macs)
+    macs = _run_chunks(lambda s: (xd[..., s],) + tuple(_steps(v, s) for v in (ad, bd, cd, dd)), want, skip, y)
+    return _record(y, parents, lambda g: _fused_backward(g, *parents), "selective_scan", macs)
 
 
 def zoh_scan_chunks(operands, shape, dtype, d_skip):

@@ -1,14 +1,20 @@
 import gc
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nightscan import scan
+from nightscan import model, scan
 from nightscan import tensor as T
 from nightscan.blocks import Conv2d, count_params
+from nightscan.data import gen_synthetic
 from nightscan.errors import ConfigError, FormatError
 from nightscan.model import (
     NetworkConfig,
@@ -20,8 +26,14 @@ from nightscan.model import (
     save_checkpoint,
     tiled_forward,
 )
+from nightscan.rawio import write_raw_container
 from nightscan.tensor import Tensor, backward, no_grad
 from nightscan.train import LossConfig, total_loss
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# the address space of a child that loads a checkpoint: a 12-level network's
+# weights would take about 190 GiB
+ADDRESS_CAP = 1536 * 2**20
 
 
 @pytest.fixture
@@ -185,6 +197,59 @@ class TestCheckpoint:
         save_checkpoint(path, TwoStageNet(NetworkConfig(base_width=4, depth=2, state_dim=2), seed=0), echo, 0)
         with pytest.raises(FormatError, match="network"):
             network_from_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "over",
+        [{}, {"cfa": "XTRANS"}, {"use_retinex": False}, {"enhance_stage": "decoding"}, {"fusion": "concat1x1"},
+         {"depth": 2, "blocks_per_level": 2}, {"scan_directions": 4}],
+        ids=["default", "xtrans", "no_retinex", "decoding", "concat1x1", "depth2_blocks2", "dirs4"],
+    )
+    def test_draw_free_build_has_the_seeded_names_and_shapes(self, over):
+        cfg = NetworkConfig(**over)
+        seeded = [(name, p.shape) for name, p in TwoStageNet(cfg, seed=5).named_params()]
+        draw_free = TwoStageNet(cfg, seed=model._NoDraws(), dtype=np.float64)
+        assert [(name, p.shape) for name, p in draw_free.named_params()] == seeded
+        # the weight matrices are zero-stride views
+        assert not any(draw_free.dm_enc[0][0].inner.mixer.wd.data.strides)
+
+    @pytest.fixture
+    def deep_echo_ckpt(self, tmp_path):
+        """A 2-level checkpoint whose network echo says 12 levels."""
+        path = tmp_path / "deep.ckpt"
+        net = TwoStageNet(NetworkConfig(base_width=4, depth=2, state_dim=2), seed=0)
+        save_checkpoint(path, net, {"network": asdict(NetworkConfig(depth=12))}, 0)
+        return path
+
+    @staticmethod
+    def _run_capped(code, *argv):
+        """Run ``code`` in a fresh interpreter whose address space, and only
+        its own, is capped at ``ADDRESS_CAP``."""
+        prelude = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_CAP}, {ADDRESS_CAP}))\n"
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        argv = [sys.executable, "-c", prelude + code, *map(str, argv)]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+    def test_deep_echo_is_format_error_before_any_weight(self, deep_echo_ckpt):
+        code = (
+            "import sys\n"
+            "from nightscan.model import network_from_checkpoint\n"
+            "try:\n"
+            "    network_from_checkpoint(sys.argv[1])\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__)\n"
+        )
+        proc = self._run_capped(code, deep_echo_ckpt)
+        assert proc.stdout.strip() == "FormatError", proc.stdout + proc.stderr
+
+    def test_infer_on_deep_echo_is_one_json_error(self, deep_echo_ckpt, tmp_path):
+        frame = tmp_path / "frame.rraw"
+        write_raw_container(gen_synthetic(count=1, size=16, seed=0).samples[0].raw, frame)
+        code = "import sys\nfrom nightscan.cli import dispatch\nsys.exit(dispatch(sys.argv[1:]))\n"
+        proc = self._run_capped(code, "infer", "--ckpt", deep_echo_ckpt, "--input", frame, "--out", tmp_path / "out")
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "FormatError"
 
     def test_manifest_contents(self, tmp_path):
         cfg = NetworkConfig(base_width=8, depth=2, state_dim=4)

@@ -188,6 +188,13 @@ def test_malformed_rraw_header_is_format_error(tmp_path, header):
 EMPTY_MANIFEST = json.dumps({"tensors": [], "config": {}, "seed": 0}).encode()
 
 
+def _two_floats(second_name, second_offset):
+    """A checkpoint of two one-float tensors, "w" at offset 0 and a second one."""
+    entries = [{"name": "w", "shape": [1], "offset": 0, "length": 1},
+               {"name": second_name, "shape": [1], "offset": second_offset, "length": 1}]
+    return _frame(b"CKPT", json.dumps({"tensors": entries, "config": {}, "seed": 0}).encode(), b"\x00" * 8)
+
+
 @pytest.mark.parametrize(
     "blob",
     [
@@ -196,8 +203,10 @@ EMPTY_MANIFEST = json.dumps({"tensors": [], "config": {}, "seed": 0}).encode()
         _frame(b"CKPT", json.dumps(
             {"tensors": [{"name": "w", "shape": [0, 2**70], "offset": 0, "length": 0}], "config": {}, "seed": 0}
         ).encode()),
+        _two_floats("w", 1),
+        _two_floats("v", 0),
     ],
-    ids=["header-length-past-end", "partial-float", "shape-too-big"],
+    ids=["header-length-past-end", "partial-float", "shape-too-big", "name-twice", "offset-rereads-floats"],
 )
 def test_malformed_checkpoint_is_format_error(tmp_path, blob):
     path = tmp_path / "bad.ckpt"
