@@ -207,7 +207,13 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tile", type=int, default=None)
+    p.add_argument(
+        "--tile",
+        type=int,
+        default=None,
+        help="run the frame in square tiles of this many packed pixels, averaged where they overlap; "
+        "the tiles are split over up to one process per usable CPU, with the same output bits",
+    )
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("dump-scan", help="emit one scan order as CSV k,row,col")

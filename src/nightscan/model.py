@@ -18,7 +18,12 @@ each name is listed once and each offset is where the tensor before ends.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import mmap
+import os
+import signal
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -219,7 +224,7 @@ def count_flops(config: NetworkConfig, input_shape) -> int:
     c, h, w = input_shape
     if c != config.in_channels:
         raise ConfigError(f"input shape {input_shape} incompatible with CFA {config.cfa}")
-    net = TwoStageNet(config, dtype=np.float64)
+    net = TwoStageNet(config, seed=_NoDraws(), dtype=np.float64)
     x = Tensor(np.zeros((c, h, w)))
     with no_grad(), track_macs() as box:
         net(x)
@@ -229,6 +234,135 @@ def count_flops(config: NetworkConfig, input_shape) -> int:
 # packed-grid pixels that neighbouring tiles of tiled_forward share
 TILE_OVERLAP = 4
 
+# (get, set) symbol names of an OpenBLAS pool size, as numpy's wheels and
+# plain builds export them
+_BLAS_THREAD_SYMBOLS = [
+    (f"{lib}_get_num_threads{suffix}", f"{lib}_set_num_threads{suffix}")
+    for lib in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+]
+
+
+def _blas_pools():
+    """(get, set) pool-size functions of every OpenBLAS loaded in this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return []
+    pools = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in _BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                pools.append((getattr(lib, get), getattr(lib, set_)))
+                break
+    return pools
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS pool to one thread inside the block, and yield
+    whether they are all at one; the old sizes come back afterwards."""
+    pools = _blas_pools()
+    old = [get() for get, _ in pools]
+    try:
+        for _, set_ in pools:
+            set_(1)
+        yield bool(pools) and all(get() == 1 for get, _ in pools)
+    finally:
+        for (_, set_), n in zip(pools, old):
+            set_(n)
+
+
+def _tile_groups(n):
+    """Contiguous groups of ``range(n)`` in order, one per usable CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = min(cpus, n)
+    return [range(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def _run_tile(net, packed, box):
+    y0, x0, y1, x1 = box
+    t1, t2 = net(Tensor(packed.data[:, y0:y1, x0:x1]))
+    return t1.data, t2.data
+
+
+def _write_slot(mm, offset, outs, regions):
+    """Write a tile's outputs at ``offset``, each as its dtype's name (8
+    bytes) and then its values broadcast to the region it is added into."""
+    for out, shape in zip(outs, regions):
+        if out.dtype.itemsize > 8:
+            raise TypeError(f"a tile output of dtype {out.dtype} does not fit a slot")
+        mm[offset:offset + 8] = out.dtype.str.encode().ljust(8, b"\0")
+        np.frombuffer(mm, out.dtype, math.prod(shape), offset + 8).reshape(shape)[...] = out
+        offset += 8 + 8 * math.prod(shape)
+
+
+def _read_slot(mm, offset, regions):
+    """The outputs ``_write_slot`` wrote, as views of the mapping."""
+    outs = []
+    for shape in regions:
+        dtype = np.dtype(mm[offset:offset + 8].rstrip(b"\0").decode())
+        outs.append(np.frombuffer(mm, dtype, math.prod(shape), offset + 8).reshape(shape))
+        offset += 8 + 8 * math.prod(shape)
+    return outs
+
+
+def _run_groups(net, packed, boxes, groups, regions, add):
+    """Run ``groups[0]`` here and every later group in a forked child, and
+    ``add`` every tile's outputs in tile order.
+
+    A child writes its tiles' outputs into their page-aligned slots of one
+    shared anonymous mapping and exits with 0; on any exception it exits
+    with 1 and the tiles of its group are run here instead, so an error is
+    the one the loop over the tiles raises.  A slot is dropped once it has
+    been added.  Children not yet reaped are killed on the way out.
+    """
+    page = mmap.PAGESIZE
+    slots, end = {}, 0
+    for i in range(len(groups[0]), len(boxes)):
+        size = -(-8 * (2 + sum(map(math.prod, regions(boxes[i])))) // page) * page
+        slots[i], end = (end, size), end + size
+    mm = mmap.mmap(-1, end)
+    children = []
+    try:
+        for group in groups[1:]:
+            try:
+                pid = os.fork()
+            except OSError:
+                pid = None
+            if pid == 0:
+                code = 1
+                try:
+                    for i in group:
+                        _write_slot(mm, slots[i][0], _run_tile(net, packed, boxes[i]), regions(boxes[i]))
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append((group, pid))
+        for i in groups[0]:
+            add(boxes[i], *_run_tile(net, packed, boxes[i]))
+        while children:  # a child leaves the list once reaped, so the finally kills only live ones
+            group, pid = children[0]
+            ok = pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+            children.pop(0)
+            for i in group:
+                if ok:
+                    add(boxes[i], *_read_slot(mm, slots[i][0], regions(boxes[i])))
+                    mm.madvise(mmap.MADV_DONTNEED, *slots[i])
+                else:
+                    add(boxes[i], *_run_tile(net, packed, boxes[i]))
+    finally:
+        for _, pid in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        mm.close()
+
 
 def tiled_forward(net: TwoStageNet, packed: Tensor, tile: int):
     """Run oversized inputs tile by tile, averaging overlapped regions.
@@ -237,6 +371,15 @@ def tiled_forward(net: TwoStageNet, packed: Tensor, tile: int):
     larger than ``TILE_OVERLAP``.  Plain overlap averaging; no feathering.
     The overlaps are summed in float64 and divided in place by their cover,
     and the result comes back in the net's dtype.
+
+    The tiles, in row-major order, are split into contiguous groups, one per
+    usable CPU (``os.sched_getaffinity``).  This process runs the first
+    group and a forked child runs each later one, with every OpenBLAS pool
+    held to one thread meanwhile.  Each accumulator still receives every
+    tile in tile order, so the result has the bits of one loop over the
+    tiles, which runs instead when there is one group or a pool cannot be
+    held to one thread.  A child's memory is not in this process's
+    ``ru_maxrss``.
     """
     cfg = net.config
     div = 1 << (cfg.depth - 1)
@@ -254,18 +397,33 @@ def tiled_forward(net: TwoStageNet, packed: Tensor, tile: int):
     step = tile - TILE_OVERLAP
     ys = sorted({min(y, max(h - tile, 0)) for y in range(0, h, step)})
     xs = sorted({min(x, max(w - tile, 0)) for x in range(0, w, step)})
-    for y0 in ys:
-        for x0 in xs:
-            y1, x1 = min(y0 + tile, h), min(x0 + tile, w)
-            sub = Tensor(packed.data[:, y0:y1, x0:x1])
-            t1, t2 = net(sub)
-            acc1[:, y0:y1, x0:x1] += t1.data
-            acc2[:, y0 * s:y1 * s, x0 * s:x1 * s] += t2.data
-            cover[:, y0:y1, x0:x1] += 1.0
+    boxes = [(y0, x0, min(y0 + tile, h), min(x0 + tile, w)) for y0 in ys for x0 in xs]
+    dtypes = []
+
+    def regions(box):
+        y0, x0, y1, x1 = box
+        return (cfg.in_channels, y1 - y0, x1 - x0), (3, (y1 - y0) * s, (x1 - x0) * s)
+
+    def add(box, o1, o2):
+        y0, x0, y1, x1 = box
+        acc1[:, y0:y1, x0:x1] += o1
+        acc2[:, y0 * s:y1 * s, x0 * s:x1 * s] += o2
+        cover[:, y0:y1, x0:x1] += 1.0
+        dtypes[:] = o1.dtype, o2.dtype
+
+    groups = _tile_groups(len(boxes))
+    held = False
+    if len(groups) > 1:
+        with _one_blas_thread() as held:
+            if held:
+                _run_groups(net, packed, boxes, groups, regions, add)
+    if not held:
+        for box in boxes:
+            add(box, *_run_tile(net, packed, box))
     acc1 /= cover
     by_packed_pixel = acc2.reshape(3, h, s, w, s)
     by_packed_pixel /= cover[:, :, None, :, None]
-    return Tensor(acc1.astype(t1.dtype)), Tensor(acc2.astype(t2.dtype))
+    return Tensor(acc1.astype(dtypes[0])), Tensor(acc2.astype(dtypes[1]))
 
 
 # ---------------------------------------------------------------------------
